@@ -5,9 +5,11 @@
 Run from the repository root; the program is imported from ``src/``.
 Load is a closed loop: one process, one thread, one client that starts the
 next job when the previous one returns.  The job list is fixed by the seed
-(see ``workloads.py``); a run repeats the whole list while another full
-pass fits in ``--seconds`` (at least one pass), so the job mix never
-changes with the time budget.
+(see ``workloads.py``).  One job of each kind runs untimed first, so
+first-call costs stay out of latency; then a run repeats the whole list
+while another full pass fits in ``--seconds`` (at least one pass), so the
+job mix never changes with the time budget.  Throughput and latency are
+the medians over the passes of each pass's figure.
 
 ``--trace 0`` prints the end-to-end metrics: throughput, p50/p90 latency,
 set-up time (median of fresh processes that import growthdyn and run one
@@ -44,7 +46,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "_out")
 
-SETUP_PROBES = 7
+SETUP_PROBES = 11
 PROBE_TIMEOUT_S = 60
 
 END_TO_END = {
@@ -61,7 +63,7 @@ OUTCOME_METRICS = {"failed_frac": "ratio", "wrong_frac": "ratio"}
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=["fit-closed", "ode-heavy", "field-march", "cli-io"])
+                        choices=["fit-io", "ode-field"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -95,13 +97,11 @@ class WarningTally:
 
 def measure_setup(workload):
     """Median seconds of fresh-process import plus one warm-up job."""
-    work_dir = os.path.join(OUT, "setup", workload)
-    os.makedirs(work_dir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=SRC)
     samples = []
     for _ in range(SETUP_PROBES):
         proc = subprocess.run(
-            [sys.executable, os.path.join(HERE, "setup_probe.py"), workload, work_dir],
+            [sys.executable, os.path.join(HERE, "setup_probe.py"), workload],
             env=env, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S, check=False)
         if proc.returncode != 0:
             raise RuntimeError(f"set-up probe failed: {proc.stderr.strip()}")
@@ -109,8 +109,22 @@ def measure_setup(workload):
     return statistics.median(samples)
 
 
-def run_pass(jobs, runners, outcomes, tracer=None):
-    """Run every job once, appending (index, seconds, output, error)."""
+def warm_up(jobs, runners):
+    """Run the first job of each kind once, untimed and unchecked."""
+    seen = set()
+    for job in jobs:
+        if job.kind not in seen:
+            seen.add(job.kind)
+            try:
+                runners[job.kind](job.args)
+            except Exception:  # the timed passes count a failing job
+                pass
+
+
+def run_pass(jobs, runners, tracer=None):
+    """Run every job once; returns ([(index, seconds, output, error)], seconds)."""
+    outcomes = []
+    start = time.perf_counter()
     for index, job in enumerate(jobs):
         t0 = time.perf_counter()
         try:
@@ -122,18 +136,17 @@ def run_pass(jobs, runners, outcomes, tracer=None):
         except Exception as exc:  # a failed job is counted, not fatal
             out, err = None, f"{type(exc).__name__}: {exc}"
         outcomes.append((index, time.perf_counter() - t0, out, err))
+    return outcomes, time.perf_counter() - start
 
 
-def run_passes(jobs, runners, budget_s, tracer=None):
+def run_passes(jobs, runners, budget_s):
     """Whole passes while another one fits in the budget; at least one."""
-    outcomes = []
+    passes = []
     start = time.perf_counter()
     while True:
-        pass_start = time.perf_counter()
-        run_pass(jobs, runners, outcomes, tracer)
-        now = time.perf_counter()
-        if (now - start) + (now - pass_start) > budget_s:
-            return outcomes, now - start
+        passes.append(run_pass(jobs, runners))
+        if time.perf_counter() - start + passes[-1][1] > budget_s:
+            return passes
 
 
 def check_outcomes(workloads, jobs, outcomes):
@@ -181,16 +194,32 @@ def _percentile(values, q):
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def measure_end_to_end(args, workloads, jobs):
-    """Timed passes with tracing off; returns (outcomes, metrics, printed-only)."""
-    outcomes, elapsed = run_passes(jobs, workloads.RUNNERS, args.seconds)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    failed, wrong, reasons = check_outcomes(workloads, jobs, outcomes)
+def pass_figures(outcomes, seconds):
+    """Throughput, p50 and p90 latency (ms) of one pass over the job list."""
     latencies = [sec for _i, sec, _o, _e in outcomes]
+    completed = sum(1 for *_rest, err in outcomes if err is None)
+    return (completed / seconds, 1e3 * statistics.median(latencies),
+            1e3 * _percentile(latencies, 90))
+
+
+def measure_end_to_end(args, workloads, jobs):
+    """Timed passes with tracing off; returns (outcomes, metrics, printed-only).
+
+    Throughput, p50 and p90 are each the median over the passes of that
+    figure for one pass.  Every pass runs the same jobs, so the passes are
+    repeated measurements; the median drops a pass that a burst of load from
+    other tenants of the host slowed down.
+    """
+    warm_up(jobs, workloads.RUNNERS)
+    passes = run_passes(jobs, workloads.RUNNERS, args.seconds)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    outcomes = [o for pass_outcomes, _sec in passes for o in pass_outcomes]
+    failed, wrong, reasons = check_outcomes(workloads, jobs, outcomes)
+    tput, p50, p90 = zip(*(pass_figures(*p) for p in passes))
     metrics = {
-        "throughput_jobs_per_s": (len(outcomes) - failed) / elapsed,
-        "latency_p50_ms": 1e3 * statistics.median(latencies),
-        "latency_p90_ms": 1e3 * _percentile(latencies, 90),
+        "throughput_jobs_per_s": statistics.median(tput),
+        "latency_p50_ms": statistics.median(p50),
+        "latency_p90_ms": statistics.median(p90),
         "setup_s": measure_setup(args.workload),
         "peak_rss_mb": peak_rss_mb,
     }
@@ -207,15 +236,16 @@ def measure_layers(workloads, tracing, jobs, tally, spans_path):
     tracer = tracing.Tracer()
     runners = dict(workloads.RUNNERS)
     runners["stability"] = lambda a: workloads.run_stability(a, tracer.rhs_counter)
-    before, before_s = run_passes(jobs, workloads.RUNNERS, 0.0)
+    warm_up(jobs, workloads.RUNNERS)
+    before, before_s = run_pass(jobs, workloads.RUNNERS)
     tally.by_file.clear()
     tracer.install()
     try:
-        traced, traced_s = run_passes(jobs, runners, 0.0, tracer)
+        traced, traced_s = run_pass(jobs, runners, tracer)
     finally:
         tracer.uninstall()
     warnings_from_models = tally.by_file.get("models.py", 0)
-    after, after_s = run_passes(jobs, workloads.RUNNERS, 0.0)
+    after, after_s = run_pass(jobs, workloads.RUNNERS)
 
     layer = tracer.layer_metrics()
     plain_tput = 0.5 * (len(before) / before_s + len(after) / after_s)

@@ -4,8 +4,8 @@
 
 Checks that every metric named in BENCHMARK.json is printed with its unit,
 that a seed fixes its job list, and that the zero-share predictions hold:
-no ode calls outside ode-heavy, no fields calls outside field-march, and
-no CSV reads outside cli-io.
+no ode, fields or ODE-backed model calls outside ode-field, and no fits,
+CSV reads or CLI runs outside fit-io.
 """
 import contextlib
 import io
@@ -70,24 +70,19 @@ def test_same_seed_same_jobs():
 
 
 def test_zero_share_predictions():
+    """Each module runs on exactly one workload and reads 0 on the other."""
     for workload in _workloads():
         _table, result = _run(workload, 1)
         m = {name: v["value"] for name, v in result["metrics"].items()}
-        ode_calls = [v for k, v in m.items() if k.startswith("ode.") and k.endswith(".calls")]
-        fields_calls = [v for k, v in m.items()
-                        if k.startswith("fields.") and k.endswith(".calls")]
-        if workload == "ode-heavy":
-            assert all(v > 0 for v in ode_calls), m
+        numeric = [v for k, v in m.items() if k.endswith(".calls")
+                   and k.startswith(("ode.", "fields.", "models.eval_ode_backed."))]
+        fit_io = [m["fitting.fit.calls"], m["dataio.read_csv.calls"], m["cli.main.calls"]]
+        if workload == "ode-field":
+            assert all(v > 0 for v in numeric), m
+            assert all(v == 0 for v in fit_io), (workload, fit_io)
         else:
-            assert all(v == 0 for v in ode_calls), (workload, ode_calls)
-        if workload == "field-march":
-            assert all(v > 0 for v in fields_calls), m
-        else:
-            assert all(v == 0 for v in fields_calls), (workload, fields_calls)
-        if workload == "cli-io":
-            assert m["dataio.read_csv.calls"] > 0
-        else:
-            assert m["dataio.read_csv.calls"] == 0, workload
+            assert all(v == 0 for v in numeric), (workload, numeric)
+            assert all(v > 0 for v in fit_io), m
 
 
 if __name__ == "__main__":

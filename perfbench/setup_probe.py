@@ -1,6 +1,6 @@
 """Set-up probe: one fresh process imports growthdyn and runs one warm-up job.
 
-Usage: python3 perfbench/setup_probe.py WORKLOAD WORK_DIR
+Usage: python3 perfbench/setup_probe.py WORKLOAD
 
 Prints the seconds from before ``import growthdyn`` to the end of the
 warm-up job, so lazy imports and first-call costs land in set-up time.
@@ -17,7 +17,7 @@ import workloads  # noqa: E402
 
 
 def main():
-    job = workloads.warmup_job(sys.argv[1], sys.argv[2])
+    job = workloads.warmup_job(sys.argv[1])
     out = workloads.RUNNERS[job.kind](job.args)
     elapsed = time.perf_counter() - _t0
     problem = workloads.CHECKS[job.kind](job.args, out)

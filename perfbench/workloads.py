@@ -8,6 +8,13 @@ is the oracle: it runs after the timed loop, compares the output with the
 generating truth or with an independent closed form, and returns ``None``
 when the output is right or a one-line reason when it is not.
 
+Two workloads split the package's modules between them: ``fit-io`` mixes
+closed-form fits with in-process CLI runs (fitting, closed-form models,
+dataio, cli) and ``ode-field`` mixes the ODE-backed, competition, particle
+and stability jobs with field marches and root grids (ode, dynsys,
+ODE-backed models, fields).  Each module that one workload exercises, the
+other leaves alone, except ``models`` (both) and ``dynsys`` (``analyze``).
+
 The cost-driving sizes (series length, grid size, integration span) are
 stratified over their ranges and each job type appears a fixed number of
 times per list, so two seeds give job lists of nearly the same total cost.
@@ -26,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 import growthdyn as gd
-import growthdyn.cli  # noqa: F401  (binds gd.cli for the cli-io jobs)
+import growthdyn.cli  # noqa: F401  (binds gd.cli for the CLI jobs)
 
-WORKLOADS = ("fit-closed", "ode-heavy", "field-march", "cli-io")
+WORKLOADS = ("fit-io", "ode-field")
 
 # Oracle tolerances, stated once.
 FIT_PARAM_RTOL = 0.10       # fitted parameter vs generating truth, 1% noise
@@ -49,11 +56,21 @@ class Job:
     args: dict
 
 
-def _strata(rng, n, lo, hi, integer=False):
-    """n values spread one per equal-width stratum of [lo, hi], shuffled."""
+def _strata(rng, n, lo, hi, pairing, integer=False, log=False):
+    """n values, one drawn in each equal-width stratum of [lo, hi].
+
+    The seed moves each value within its stratum only.  Which stratum the
+    k-th job of a kind gets is a fixed permutation named by ``pairing``,
+    the same for every seed, so two sizes of one job (cells and span, say)
+    pair up the same way for every seed and the cost of a list hardly
+    changes between seeds.  ``log`` spaces the strata evenly in log(value).
+    """
     u = (np.arange(n) + rng.uniform(size=n)) / n
-    vals = lo + u * (hi - lo)
-    rng.shuffle(vals)
+    u = u[np.random.default_rng(pairing).permutation(n)]
+    if log:
+        vals = lo * (hi / lo) ** u
+    else:
+        vals = lo + u * (hi - lo)
     return [int(round(v)) for v in vals] if integer else [float(v) for v in vals]
 
 
@@ -68,14 +85,14 @@ def _interleave(groups, rng):
     return [jobs[i] for i in order]
 
 
-# ------------------------------------------------------------- fit-closed
+# ------------------------------------------------------------------- fits
 
 FIT_KINDS = (
     # (model, alpha, loss space, jobs per list)
-    (gd.POWER_LAW, 1, gd.LOSS_LOG, 150),
-    (gd.SATURATING_LINEAR, 1, gd.LOSS_LINEAR, 150),
-    (gd.LOGISTIC_FAMILY, 1, gd.LOSS_LINEAR, 150),
-    (gd.LOGISTIC_FAMILY, 2, gd.LOSS_LINEAR, 150),
+    (gd.POWER_LAW, 1, gd.LOSS_LOG, 50),
+    (gd.SATURATING_LINEAR, 1, gd.LOSS_LINEAR, 50),
+    (gd.LOGISTIC_FAMILY, 1, gd.LOSS_LINEAR, 50),
+    (gd.LOGISTIC_FAMILY, 2, gd.LOSS_LINEAR, 50),
 )
 # At the defaults (tol=1e-10, max_iter=200) about 30% of the eight starts
 # stall at the noise floor until the cap, so a fit's cost is a binomial
@@ -135,15 +152,15 @@ def _fit_job(rng, model, alpha, loss, n, distance):
                        "guess": tuple(guess)})
 
 
-def _gen_fit_closed(rng, scale):
+def _gen_fits(rng, scale):
     groups = []
     for model, alpha, loss, count in FIT_KINDS:
         count = max(1, round(count * scale))
-        sizes = _strata(rng, count, 40, 400, integer=True)
-        distances = _strata(rng, count, 0.05, 0.4)
+        sizes = _strata(rng, count, 40, 400, 1, integer=True)
+        distances = _strata(rng, count, 0.05, 0.4, 2)
         groups.append([_fit_job(rng, model, alpha, loss, n, d)
                        for n, d in zip(sizes, distances)])
-    return _interleave(groups, rng)
+    return groups
 
 
 def run_fit(a):
@@ -179,26 +196,29 @@ def check_fit(a, out):
     return None
 
 
-# -------------------------------------------------------------- ode-heavy
+# -------------------------------------------------------------------- ode
 
-# Unequal shares keep p50 and p90 inside one kind's cost range rather than
-# on the boundary between two kinds.
-ODE_COUNTS = {"logistic-ode": 62, "compete": 44, "particle": 44, "stability": 26}
+# With the field jobs below, these shares put p50 among the compete,
+# alpha >= 3 and march costs and p90 among the particle runs, the largest
+# marches and the longest alpha >= 3 curves, never on a gap between kinds.
+ODE_COUNTS = {"logistic-ode": 40, "compete": 28, "particle": 28, "stability": 20}
 
 
-def _gen_ode_heavy(rng, scale):
+def _gen_ode(rng, scale):
     counts = {k: max(1, round(v * scale)) for k, v in ODE_COUNTS.items()}
     groups = []
 
     n = counts["logistic-ode"]
     jobs = []
-    for points, alpha in zip(_strata(rng, n, 20, 120, integer=True),
-                             [3 + (i % 2) for i in range(n)]):
+    for i, (points, start) in enumerate(zip(_strata(rng, n, 20, 120, 1, integer=True),
+                                            _strata(rng, n, 0.02, 0.2, 2, log=True))):
         a = _log_uniform(rng, 0.5, 2.0)
         level = _log_uniform(rng, 1.5, 5.0)
-        phi0 = level * _log_uniform(rng, 0.02, 0.2)
+        alpha = 3 + i % 2
+        phi0 = level * start
         span = (math.log(level / phi0) + 3.0) / a
-        times = np.sort(rng.uniform(0.0, span, points))
+        # One sample time per equal slice of the span.
+        times = span * (np.arange(points) + rng.uniform(size=points)) / points
         jobs.append(Job("logistic-ode", {"a": a, "b": a / level ** alpha,
                                          "alpha": alpha, "phi0": phi0,
                                          "times": times}))
@@ -206,9 +226,14 @@ def _gen_ode_heavy(rng, scale):
 
     n = counts["compete"]
     jobs = []
-    for points in _strata(rng, n, 200, 1000, integer=True):
+    # The run lasts 60 time units of the slower species, so its step count
+    # grows with the ratio of the two growth rates: stratify that ratio.
+    for points, spread in zip(_strata(rng, n, 200, 1000, 1, integer=True),
+                              _strata(rng, n, 1.0, 3.5, 2, log=True)):
+        slow = _log_uniform(rng, 0.5, 2.0 / spread)
+        a1, a2 = (slow, slow * spread) if rng.uniform() < 0.5 else (slow * spread, slow)
         while True:
-            a1, a2, d1, d2, b, c = (_log_uniform(rng, 0.5, 2.0) for _ in range(6))
+            d1, d2, b, c = (_log_uniform(rng, 0.5, 2.0) for _ in range(4))
             ratio = a1 * d2 / (a2 * d1)
             if ratio > 1.5 or ratio < 1 / 1.5:
                 break
@@ -219,7 +244,7 @@ def _gen_ode_heavy(rng, scale):
 
     n = counts["particle"]
     jobs = []
-    for steps in _strata(rng, n, 1000, 4000, integer=True):
+    for steps in _strata(rng, n, 1000, 4000, 1, integer=True):
         x0 = float(rng.uniform(1.0, 4.0))
         v0 = math.sqrt(2.0 / x0) * float(rng.uniform(1.05, 1.5))
         jobs.append(Job("particle", {"state": (x0, v0),
@@ -229,7 +254,7 @@ def _gen_ode_heavy(rng, scale):
 
     n = counts["stability"]
     groups.append([_stability_job(rng) for _ in range(n)])
-    return _interleave(groups, rng)
+    return groups
 
 
 def _stability_label(tr, det):
@@ -351,20 +376,21 @@ def check_stability(a, report):
     return None
 
 
-# ------------------------------------------------------------ field-march
+# ----------------------------------------------------------------- fields
 
-MARCH_COUNT = 156
-ROOT_COUNT = 104
+MARCH_COUNT = 60
+ROOT_COUNT = 40
 ROOT_GRID = (12, 12)
 
 
-def _gen_field_march(rng, scale):
+def _gen_fields(rng, scale):
     groups = []
     n = max(1, round(MARCH_COUNT * scale))
     jobs = []
-    for cells, t_end in zip(_strata(rng, n, 128, 512, integer=True),
-                            _strata(rng, n, 200.0, 1500.0)):
-        jobs.append(Job("march", {"c": _log_uniform(rng, 0.5, 2.0), "cells": cells,
+    for cells, t_end, c in zip(_strata(rng, n, 128, 512, 1, integer=True),
+                               _strata(rng, n, 200.0, 1500.0, 2),
+                               _strata(rng, n, 0.5, 2.0, 3, log=True)):
+        jobs.append(Job("march", {"c": c, "cells": cells,
                                   "t_end": t_end,
                                   "probe_x": float(rng.uniform(4.0, 5.5)),
                                   "snapshots": 40}))
@@ -376,7 +402,7 @@ def _gen_field_march(rng, scale):
         ts = np.sort(np.exp(rng.uniform(math.log(0.1), math.log(3000.0), ROOT_GRID[1])))
         jobs.append(Job("roots", {"c": _log_uniform(rng, 0.5, 2.0), "xs": xs, "ts": ts}))
     groups.append(jobs)
-    return _interleave(groups, rng)
+    return groups
 
 
 def run_march(a):
@@ -425,19 +451,22 @@ def check_roots(a, roots):
     return None
 
 
-# ----------------------------------------------------------------- cli-io
+# -------------------------------------------------------------------- cli
 
-CLI_COUNTS = {"classify": 80, "simulate": 80, "analyze": 40}
+# With the 200 fits, these shares put p50 among the fits and p90 among the
+# classify-early and simulate runs, above the slowest fits.
+CLI_COUNTS = {"classify": 40, "simulate": 40, "analyze": 20}
 _SIM_MODELS = ("power", "saturating", "logistic")
 
 
-def _gen_cli_io(rng, scale, work_dir):
-    """Draw the cli-io jobs and write their input CSVs and config files."""
+def _gen_cli(rng, scale, work_dir):
+    """Draw the CLI jobs and write their input CSVs and config files."""
     counts = {k: max(1, round(v * scale)) for k, v in CLI_COUNTS.items()}
     groups = []
     jobs = []
     n = counts["classify"]
-    for i, rows in enumerate(_strata(rng, n, 5000, 30000, integer=True)):
+    for i, (rows, window) in enumerate(zip(_strata(rng, n, 5000, 30000, 1, integer=True),
+                                           _strata(rng, n, 0.4, 1.0, 2))):
         job_dir = os.path.join(work_dir, f"classify{i:03d}")
         os.makedirs(job_dir, exist_ok=True)
         family = gd.EXPONENTIAL if i % 2 == 0 else gd.POWER_LAW
@@ -451,7 +480,7 @@ def _gen_cli_io(rng, scale, work_dir):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,value\n")
             fh.writelines(f"{ti!r},{vi!r}\n" for ti, vi in zip(t.tolist(), values.tolist()))
-        window = round(float(rng.uniform(0.4, 1.0)), 3)
+        window = round(window, 3)
         argv = ["classify-early", path, "--out-dir", job_dir]
         if i % 3 == 0:
             # Half the window comes from a config file that overrides the flag.
@@ -472,8 +501,8 @@ def _gen_cli_io(rng, scale, work_dir):
 
     jobs = []
     n = counts["simulate"]
-    for i, (points, curves) in enumerate(zip(_strata(rng, n, 1000, 5000, integer=True),
-                                             _strata(rng, n, 1, 12, integer=True))):
+    for i, (points, curves) in enumerate(zip(_strata(rng, n, 1000, 5000, 1, integer=True),
+                                             _strata(rng, n, 1, 12, 2, integer=True))):
         job_dir = os.path.join(work_dir, f"simulate{i:03d}")
         model = _SIM_MODELS[i % 3]
         fmt = ("csv", "json")[(i // 3) % 2]
@@ -509,7 +538,7 @@ def _gen_cli_io(rng, scale, work_dir):
                                 "equilibrium": stab.args["equilibrium"],
                                 "out_dir": job_dir}))
     groups.append(jobs)
-    return _interleave(groups, rng)
+    return groups
 
 
 class CliExit(Exception):
@@ -648,20 +677,16 @@ CHECKS = {
 
 
 def generate(workload, seed, work_dir, scale=1.0):
-    """The seeded job list of a workload; cli-io also writes its input files.
+    """The seeded job list of a workload; fit-io also writes its input files.
 
     ``scale`` shrinks every per-kind count (the self-tests use a tiny one).
     """
     rng = np.random.default_rng([seed, WORKLOADS.index(workload)])
-    if workload == "fit-closed":
-        return _gen_fit_closed(rng, scale)
-    if workload == "ode-heavy":
-        return _gen_ode_heavy(rng, scale)
-    if workload == "field-march":
-        return _gen_field_march(rng, scale)
-    if workload == "cli-io":
+    if workload == "fit-io":
         os.makedirs(work_dir, exist_ok=True)
-        return _gen_cli_io(rng, scale, work_dir)
+        return _interleave(_gen_fits(rng, scale) + _gen_cli(rng, scale, work_dir), rng)
+    if workload == "ode-field":
+        return _interleave(_gen_ode(rng, scale) + _gen_fields(rng, scale), rng)
     raise ValueError(f"unknown workload {workload!r}")
 
 
@@ -677,19 +702,11 @@ def fingerprint(jobs):
     return h.hexdigest()
 
 
-def warmup_job(workload, work_dir):
-    """One small job of the workload's heaviest kind, for the set-up probe."""
+def warmup_job(workload):
+    """One small job for the set-up probe: a fit, or an ODE-backed curve so
+    that the lazy import of ``ode`` lands in set-up time."""
     rng = np.random.default_rng(0)
-    if workload == "fit-closed":
+    if workload == "fit-io":
         return _fit_job(rng, gd.LOGISTIC_FAMILY, 1, gd.LOSS_LINEAR, 40, 0.3)
-    if workload == "ode-heavy":
-        return Job("logistic-ode", {"a": 1.0, "b": 1.0 / 27.0, "alpha": 3, "phi0": 0.3,
-                                    "times": np.linspace(0.0, 5.0, 20)})
-    if workload == "field-march":
-        return Job("march", {"c": 1.0, "cells": 128, "t_end": 200.0,
-                             "probe_x": 3.0, "snapshots": 10})
-    os.makedirs(work_dir, exist_ok=True)
-    return Job("cli", {"argv": ["simulate", "--model", "logistic", "--out-dir", work_dir,
-                                "--points", "1000", "--b", "0.5,1"],
-                       "check": "simulate", "format": "csv", "axes": "linear",
-                       "curves": 2, "out_dir": work_dir})
+    return Job("logistic-ode", {"a": 1.0, "b": 1.0 / 27.0, "alpha": 3, "phi0": 0.3,
+                                "times": np.linspace(0.0, 5.0, 20)})
