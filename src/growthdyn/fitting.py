@@ -403,10 +403,13 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
     """Time for the fitted model to reach half its terminal value.
 
     For the saturating-linear family this is ln 2 / b, reported alongside the
-    crude scale 1/b; for the logistic family the closed form is inverted
-    numerically.  The estimate depends only on the fitted parameters — the
-    series argument is accepted for interface symmetry.  Unbounded models
-    (power law, alpha = 0) have no terminal value to approach.
+    crude scale 1/b.  For the logistic family, inverting the closed form
+    phi = phi0 / (r + (1 - r) e^{-alpha a t})**(1/alpha), r = b*phi0**alpha/a,
+    at phi = K/2 gives ln((1 - r) / ((2**alpha - 1) r)) / (alpha a); a start
+    at or above K/2 reports 0.  The estimate depends only on the fitted
+    parameters — the series argument is accepted for interface symmetry.
+    Unbounded models (power law, alpha = 0) have no terminal value to
+    approach, nor does a start at phi0 = 0 ever leave it.
     """
     if fitted.model == POWER_LAW or (fitted.model == LOGISTIC_FAMILY
                                      and fitted.alpha == 0):
@@ -421,24 +424,15 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
 
     record = GeneralizedLogisticParams(a=p["a"], b=p["b"], alpha=fitted.alpha,
                                        phi0=p["phi0"])
-    terminal = (p["a"] / p["b"]) ** (1.0 / fitted.alpha)
-    target = 0.5 * terminal
-    if p["phi0"] >= target:
+    a, b, al, phi0 = record.a, record.b, record.alpha, record.phi0
+    terminal = (a / b) ** (1.0 / al)
+    if phi0 >= 0.5 * terminal:
         return OnsetEstimate(half_terminal_time=0.0, terminal_value=terminal,
                              crude_scale=None)
-    hi = 1.0 / p["a"]
-    while eval_logistic_family(record, hi) < target:
-        hi *= 2.0
-        if hi > 1e12 / p["a"]:
-            raise DomainError("half-terminal time beyond 1e12 rate units")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eval_logistic_family(record, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return OnsetEstimate(half_terminal_time=0.5 * (lo + hi),
-                         terminal_value=terminal, crude_scale=None)
+    r = b * phi0 ** al / a
+    if r == 0:
+        raise DomainError(
+            f"b*phi0**alpha/a is 0 (phi0 = {phi0!r}): the curve never leaves its start")
+    half = (math.log1p(-r) - math.log((2.0 ** al - 1.0) * r)) / (al * a)
+    return OnsetEstimate(half_terminal_time=half, terminal_value=terminal,
+                         crude_scale=None)

@@ -9,8 +9,8 @@ Three families, in increasing order of structure:
   the classic logistic; alpha = 2 saturates at sqrt(a/b).  For alpha >= 1 the
   terminal level is (a/b)**(1/alpha); for alpha = 0 with a > b there is none.
 
-Closed forms exist for alpha in {0, 1, 2}; larger integer alpha is evaluated
-by numerical integration of the defining equation (see `ode`).
+Every member has a closed form: for alpha >= 1 the growth law is a Bernoulli
+equation, linear in u = phi**-alpha, so one expression covers every alpha.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .errors import DomainError, ParameterError
 
 # exp() overflow threshold for float64, with headroom
 _EXP_MAX = 700.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Unbounded:
@@ -143,16 +144,16 @@ def eval_saturating_linear(params: SaturatingLinearParams, t):
 def eval_logistic_family(params: GeneralizedLogisticParams, t):
     """Evaluate the generalized logistic family at time(s) t >= 0.
 
-    Closed forms for alpha in {0, 1, 2}:
+    Closed forms:
 
-        alpha = 0:  phi = phi0 * exp((a - b) t)
-        alpha = 1:  phi = a*phi0 / (b*phi0 + (a - b*phi0)*exp(-a t))
-        alpha = 2:  phi = k*phi0 / sqrt(phi0**2 + (k**2 - phi0**2)*exp(-2 a t)),
-                    k = sqrt(a/b)
+        alpha = 0:   phi = phi0 * exp((a - b) t)
+        alpha >= 1:  phi = phi0 / (r + (1 - r)*exp(-alpha a t))**(1/alpha),
+                     r = b*phi0**alpha / a = (phi0/K)**alpha,  K = (a/b)**(1/alpha)
 
-    (The alpha = 1, 2 expressions are the textbook c-constant forms rewritten
-    to avoid overflow when phi0 sits close to the terminal level.)
-    Integer alpha > 2 is integrated numerically from the defining equation.
+    The alpha >= 1 form solves the linear equation obeyed by u = phi**-alpha.
+    Its denominator lies in [r**(1/alpha), 1], so the value never exceeds K;
+    a value outside float64 range (K overflows, or r underflows and the
+    exponential with it) raises DomainError.
 
     For alpha = 0 a scalar evaluation whose exponent would overflow float64
     returns the UNBOUNDED marker; an array evaluation raises DomainError so
@@ -180,39 +181,16 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
                 f"{(_EXP_MAX - log_phi0) / (a - b):.6g}; evaluate scalars to get "
                 f"the unbounded marker")
         out = np.exp(exponent)
-    elif al == 1:
-        out = a * phi0 / (b * phi0 + (a - b * phi0) * np.exp(-a * arr))
-    elif al == 2:
-        k = math.sqrt(a / b)
-        out = k * phi0 / np.sqrt(phi0 ** 2 + (k ** 2 - phi0 ** 2) * np.exp(-2 * a * arr))
     else:
-        out = _eval_logistic_ode(params, arr)
+        r = b * phi0 ** al / a
+        scale = (r + (1.0 - r) * np.exp(-al * a * arr)) ** (1.0 / al)
+        if np.any(scale * _FLOAT_MAX < phi0):
+            raise DomainError(
+                f"alpha = {al} value leaves float64 range: terminal level "
+                f"(a/b)**(1/alpha) = {(a / b) ** (1.0 / al):.6g}, "
+                f"b*phi0**alpha/a = {r:.3g}")
+        out = phi0 / scale
     return float(out) if scalar else out
-
-
-def _eval_logistic_ode(params, arr):
-    """Evaluate alpha > 2 members by integrating dphi/dt = phi*(a - b*phi**alpha)."""
-    from .ode import AutonomousSystem, integrate_adaptive
-
-    a, b, al = params.a, params.b, params.alpha
-    system = AutonomousSystem(
-        dimension=1,
-        rhs=lambda s: np.array([s[0] * (a - b * s[0] ** al)]),
-    )
-    flat = np.atleast_1d(arr).ravel()
-    order = np.argsort(flat, kind="stable")
-    out = np.empty_like(flat)
-    y = params.phi0
-    t_prev = 0.0
-    for idx in order:
-        t_i = flat[idx]
-        if t_i > t_prev:
-            traj = integrate_adaptive(system, np.array([y]), t_prev, t_i,
-                                      rel_tol=1e-11, abs_tol=1e-13)
-            y = float(traj.states[-1, 0])
-            t_prev = t_i
-        out[idx] = y
-    return out.reshape(np.shape(arr))
 
 
 def terminal_value(params):

@@ -101,12 +101,13 @@ class TestNoiselessRecovery:
         assert result.terminal_forecast == pytest.approx(5.0, rel=1e-6)
         assert result.alpha == 1
 
-    def test_logistic_alpha2(self):
-        result = fit(FitProblem(_logistic_series(alpha=2), LOGISTIC_FAMILY,
-                                (3.0, 2.0, 0.5), alpha=2))
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_logistic_higher_alpha(self, alpha):
+        result = fit(FitProblem(_logistic_series(alpha=alpha), LOGISTIC_FAMILY,
+                                (3.0, 2.0, 0.5), alpha=alpha))
         assert result.converged
         assert result.params == pytest.approx((5.0, 1.0, 1.0), rel=1e-6)
-        assert result.terminal_forecast == pytest.approx(math.sqrt(5.0), rel=1e-6)
+        assert result.terminal_forecast == pytest.approx(5.0 ** (1.0 / alpha), rel=1e-6)
 
     def test_log_loss_recovery(self):
         t = np.linspace(0.2, 6.0, 40)
@@ -257,6 +258,29 @@ class TestSaturationOnset:
         onset = saturation_onset(None, fitted)
         assert onset.half_terminal_time == 0.0
         assert onset.terminal_value == 5.0
+
+    def test_alpha3_inversion_hits_half_terminal(self):
+        # K = (1/(1/27))**(1/3) = 3, phi0 = 0.3 < K/2
+        fitted = FitResult(params=(1.0, 1.0 / 27.0, 0.3),
+                           param_names=("a", "b", "phi0"), rmse=0.0,
+                           iterations=1, converged=True, terminal_forecast=3.0,
+                           jacobian_condition=1.0, model=LOGISTIC_FAMILY,
+                           loss_space=LOSS_LINEAR, alpha=3)
+        onset = saturation_onset(None, fitted)
+        record = GeneralizedLogisticParams(a=1.0, b=1.0 / 27.0, alpha=3, phi0=0.3)
+        assert onset.half_terminal_time > 0
+        assert eval_logistic_family(record, onset.half_terminal_time) \
+            == pytest.approx(1.5, rel=1e-12)
+        assert onset.terminal_value == pytest.approx(3.0, rel=1e-15)
+
+    def test_zero_start_rejected(self):
+        fitted = FitResult(params=(5.0, 1.0, 0.0),
+                           param_names=("a", "b", "phi0"), rmse=0.0,
+                           iterations=1, converged=True, terminal_forecast=5.0,
+                           jacobian_condition=1.0, model=LOGISTIC_FAMILY,
+                           loss_space=LOSS_LINEAR, alpha=1)
+        with pytest.raises(DomainError):
+            saturation_onset(None, fitted)
 
     def test_unbounded_models_rejected(self):
         power = FitResult(params=(2.0, 0.7), param_names=("a", "beta"),

@@ -6,6 +6,7 @@ written and run before the closed forms), or by direct analytic evaluation
 where the expression is elementary.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,9 +178,24 @@ class TestLogisticFamily:
         with pytest.raises(DomainError):
             eval_logistic_family(p, -1.0)
 
+    def test_subnormal_damping_is_exponential(self):
+        # b*phi0**2/a underflows to a subnormal here; (a/b)**(1/2) does not
+        # overflow, and until t = 5 the curve is phi0*e^t to float precision.
+        p = GeneralizedLogisticParams(a=1, b=1e-310, alpha=2, phi0=0.03)
+        t = np.linspace(0.0, 5.0, 51)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi = eval_logistic_family(p, t)
+            # with alpha = 1 the terminal level a/b = 1e310 overflows float64,
+            # which the late-time value reaches
+            beyond = GeneralizedLogisticParams(a=1, b=1e-310, alpha=1, phi0=0.03)
+            with pytest.raises(DomainError):
+                eval_logistic_family(beyond, 800.0)
+        np.testing.assert_allclose(phi, 0.03 * np.exp(t), rtol=1e-12)
+
 
 class TestCurveProperties:
-    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 7])
     @pytest.mark.parametrize("seed", range(4))
     def test_strictly_increasing_below_terminal(self, alpha, seed):
         rng = np.random.default_rng(100 * alpha + seed)
@@ -187,11 +203,13 @@ class TestCurveProperties:
         b = rng.uniform(0.1, 0.9)
         phi0 = rng.uniform(0.05, 0.5)  # below (a/b)**(1/alpha) for these draws
         p = GeneralizedLogisticParams(a=a, b=b, alpha=alpha, phi0=phi0)
-        t = np.linspace(0.0, 8.0 / a, 300)
+        # up to alpha*a*t = 16 for alpha >= 2: later the gap to the terminal
+        # level, which closes like exp(-alpha*a*t), is below float64 resolution
+        t = np.linspace(0.0, 16.0 / (max(alpha, 2) * a), 300)
         phi = eval_logistic_family(p, t)
         assert np.all(np.diff(phi) > 0)
 
-    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 7])
     def test_terminal_convergence_rate(self, alpha):
         p = GeneralizedLogisticParams(a=5, b=1, alpha=alpha, phi0=1)
         limit = terminal_value(p)
@@ -224,9 +242,11 @@ class TestCurveProperties:
             for al in (0, 1, 2)]
         assert np.all(c0 >= c1) and np.all(c1 >= c2)
 
-    def test_alpha0_closed_form_matches_integration(self):
-        p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
-        system = AutonomousSystem(1, lambda s: np.array([s[0] * (p.a - p.b)]))
+    @pytest.mark.parametrize("alpha", [0, 3, 7])
+    def test_closed_form_matches_integration(self, alpha):
+        p = GeneralizedLogisticParams(a=2, b=1, alpha=alpha, phi0=1)
+        system = AutonomousSystem(
+            1, lambda s: np.array([s[0] * (p.a - p.b * s[0] ** p.alpha)]))
         traj = integrate_fixed(system, np.array([1.0]), 0.0, 6.0, 0.002)
         closed = eval_logistic_family(p, traj.times)
         np.testing.assert_allclose(traj.states[:, 0], closed, rtol=1e-6)
