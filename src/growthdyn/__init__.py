@@ -6,6 +6,8 @@ field solvers (fields), nonlinear least-squares fitting (fitting), and
 time-series I/O (dataio), with a command-line front end (cli).
 """
 
+from types import ModuleType as _ModuleType
+
 from .dataio import (AXES_LINEAR, AXES_LOG_LOG, AXES_LOG_X, AXES_LOG_Y,
                      FORMAT_CSV, FORMAT_JSON, KIND_ANNUAL, KIND_CUMULATIVE,
                      KIND_GENERIC, TimeSeries, cumulate, emit_plot_series,
@@ -39,30 +41,7 @@ from .ode import (AutonomousSystem, Trajectory, integrate_adaptive,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdvectionSetup", "AutonomousSystem", "AXES_LINEAR", "AXES_LOG_LOG",
-    "AXES_LOG_X", "AXES_LOG_Y", "CENTER", "ClassifierVerdict",
-    "CompetitionParams", "DataIOError", "DEGENERATE", "DiffusionParams",
-    "DomainError", "EigenClassification", "EXPONENTIAL", "ExclusionVerdict",
-    "FieldSnapshot", "FitProblem", "FitResult", "FixedPoint2D",
-    "FORMAT_CSV", "FORMAT_JSON",
-    "GeneralizedLogisticParams", "GrowthDynError", "INDETERMINATE",
-    "KIND_ANNUAL", "KIND_CUMULATIVE", "KIND_GENERIC", "LOGISTIC_FAMILY",
-    "LogAxisError", "LOSS_LINEAR", "LOSS_LOG", "MARGINAL",
-    "NonConvergenceError", "NumericalError", "OnsetEstimate", "ParameterError",
-    "POWER_LAW", "PowerLawParams", "RankDeficiencyError", "RootNotFoundError",
-    "SADDLE", "SATURATING_LINEAR", "SaturatingLinearParams",
-    "SPECIES_1_SURVIVES", "SPECIES_2_SURVIVES", "STABLE_FOCUS", "STABLE_NODE",
-    "StabilityReport", "StiffnessError", "TimeSeries", "Trajectory",
-    "UNBOUNDED", "Unbounded", "UNSTABLE_FOCUS", "UNSTABLE_NODE",
-    "ValidationError", "__version__", "characteristic_energy",
-    "characteristic_particle_system", "classify", "competition_system",
-    "coupled_logistic_demo", "cumulate", "diffusion_point_source",
-    "early_growth_classifier", "early_time_approx", "emit_plot_series",
-    "euler_characteristic_phi", "euler_terminal_profile",
-    "eval_logistic_family", "eval_power_law", "eval_saturating_linear",
-    "evolve_advection_fd", "exclusion_verdict", "find_fixed_point", "fit",
-    "integrate_adaptive", "integrate_fixed", "interp_states", "linearize",
-    "probe_series", "read_csv", "saturation_onset", "stability_report",
-    "terminal_value",
-]
+# Every public name bound above, submodules aside.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__.append("__version__")

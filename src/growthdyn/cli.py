@@ -1,7 +1,9 @@
 """Command-line front end: simulate, fit, analyze, compete, pde, classify-early.
 
-Every subcommand validates its parameters first, computes second, and writes
-plot-ready data files plus a versioned JSON report (``"schema": 1``).  Output
+Every subcommand is a ``cmd_*(args, cfg)`` that validates its parameters,
+computes, and returns its plot-ready tables plus a report dict; one driver
+then writes the tables, writes the versioned JSON report (``"schema": 1``)
+and prints their paths, so a failed command leaves no partial files.  Output
 is data only — CSV/JSON columns for external plotting tools, no rendering.
 
 Conventions shared by all subcommands:
@@ -19,17 +21,17 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio, dynsys, fields, fitting, models
-from .errors import (DataIOError, NumericalError, ValidationError)
+from .errors import DataIOError, NumericalError, ParameterError, ValidationError
 from .models import UNBOUNDED
 from .ode import integrate_adaptive, interp_states
 
@@ -45,7 +47,7 @@ _GRID_LINEAR = "linear"
 _GRID_LOG = "log"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Resolved output plumbing shared by every subcommand."""
 
@@ -102,30 +104,30 @@ def _jsonable(v):
     return str(v)
 
 
-def _write_report(cfg: RunConfig, payload: dict, path: str | None = None) -> str:
-    target = path or cfg.path("_report.json")
-    body = {"schema": _SCHEMA, "subcommand": cfg.subcommand}
-    body.update(payload)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(body), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return target
-
-
-def _resolve_config(args, subcommand: str) -> RunConfig:
+def _run(args) -> int:
+    """Compute a subcommand, then write its tables and report and print their paths."""
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    return RunConfig(subcommand=subcommand, out_dir=out_dir,
-                     prefix=args.prefix or subcommand,
-                     axes=getattr(args, "axes", dataio.AXES_LINEAR),
-                     plot_format=getattr(args, "plot_format", dataio.FORMAT_CSV))
+    cfg = RunConfig(subcommand=args.subcommand, out_dir=out_dir,
+                    prefix=args.prefix or args.subcommand, axes=args.axes,
+                    plot_format=args.plot_format)
+    tables, report = args.func(args, cfg)
+    for path, curves, axes in tables:
+        dataio.emit_plot_series(curves, axes, path, format=cfg.plot_format)
+    body = _jsonable({"schema": _SCHEMA, "subcommand": cfg.subcommand, **report})
+    report_path = cfg.path("_report.json")
+    with open(report_path, "w", encoding="utf-8") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for path in [path for path, _, _ in tables] + [report_path]:
+        print(path)
+    return 0
 
 
 def _time_grid(args) -> np.ndarray:
-    axes = getattr(args, "axes", dataio.AXES_LINEAR)
     spacing = args.grid
     if spacing == _GRID_AUTO:
-        spacing = _GRID_LOG if axes in (dataio.AXES_LOG_X, dataio.AXES_LOG_LOG) \
+        spacing = _GRID_LOG if args.axes in (dataio.AXES_LOG_X, dataio.AXES_LOG_LOG) \
             else _GRID_LINEAR
     t_max = args.t_max
     if not t_max > 0:
@@ -146,19 +148,19 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(t_min, t_max, args.points)
 
 
+_CLI_TO_FIT_MODEL = {
+    MODEL_POWER: fitting.POWER_LAW,
+    MODEL_SATURATING: fitting.SATURATING_LINEAR,
+    MODEL_LOGISTIC: fitting.LOGISTIC_FAMILY,
+}
+
+
 # ---------------------------------------------------------------- simulate
 
-def _simulate_combos(args):
+def _simulate_combos(args, family):
     """Cartesian fan-out over list-valued model parameters."""
-    if args.model == MODEL_POWER:
-        names = ("a", "beta")
-        pools = (args.a, args.beta)
-    elif args.model == MODEL_SATURATING:
-        names = ("a", "b")
-        pools = (args.a, args.b)
-    else:
-        names = ("a", "b", "alpha", "phi0")
-        pools = (args.a, args.b, args.alpha, args.phi0)
+    names = [f.name for f in dataclasses.fields(models.FAMILIES[family])]
+    pools = [getattr(args, name) for name in names]
     varying = [name for name, pool in zip(names, pools) if len(pool) > 1]
     combos = []
     for combo in itertools.product(*pools):
@@ -171,89 +173,55 @@ def _simulate_combos(args):
     return combos
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args, "simulate")
+def cmd_simulate(args, cfg: RunConfig):
+    family = _CLI_TO_FIT_MODEL[args.model]
     times = _time_grid(args)
     curves = []
     summary = []
-    for label, named in _simulate_combos(args):
-        if args.model == MODEL_POWER:
-            record = models.PowerLawParams(a=named["a"], beta=named["beta"])
-            values = models.eval_power_law(record, times)
-            terminal = None
-        elif args.model == MODEL_SATURATING:
-            record = models.SaturatingLinearParams(a=named["a"], b=named["b"])
-            values = models.eval_saturating_linear(record, times)
+    for label, named in _simulate_combos(args, family):
+        record = models.FAMILIES[family](**named)
+        curves.append((label, times, models.evaluate(record, times)))
+        try:
             terminal = models.terminal_value(record)
-        else:
-            record = models.GeneralizedLogisticParams(
-                a=named["a"], b=named["b"], alpha=int(named["alpha"]),
-                phi0=named["phi0"])
-            values = models.eval_logistic_family(record, times)
-            terminal = models.terminal_value(record)
-        curves.append((label, times, values))
+        except ParameterError:
+            terminal = None  # the power law has no terminal level
         summary.append({"label": label, "params": named,
                         "terminal_value": terminal})
     plot_path = cfg.path("." + cfg.plot_format)
-    dataio.emit_plot_series(curves, cfg.axes, plot_path, format=cfg.plot_format)
-    report_path = _write_report(cfg, {
+    return [(plot_path, curves, cfg.axes)], {
         "model": args.model,
         "axes": cfg.axes,
         "grid": {"t_min": float(times[0]), "t_max": float(times[-1]),
                  "points": int(times.size)},
         "curves": summary,
         "plot_file": os.path.basename(plot_path),
-    })
-    print(plot_path)
-    print(report_path)
-    return 0
+    }
 
 
 # --------------------------------------------------------------------- fit
 
-_CLI_TO_FIT_MODEL = {
-    MODEL_POWER: fitting.POWER_LAW,
-    MODEL_SATURATING: fitting.SATURATING_LINEAR,
-    MODEL_LOGISTIC: fitting.LOGISTIC_FAMILY,
-}
-
-
-def _eval_fitted(model: str, alpha: int, params, times: np.ndarray) -> np.ndarray:
-    if model == fitting.POWER_LAW:
-        record = models.PowerLawParams(a=params[0], beta=params[1])
-        return np.asarray(models.eval_power_law(record, times), dtype=float)
-    if model == fitting.SATURATING_LINEAR:
-        record = models.SaturatingLinearParams(a=params[0], b=params[1])
-        return np.asarray(models.eval_saturating_linear(record, times), dtype=float)
-    record = models.GeneralizedLogisticParams(a=params[0], b=params[1],
-                                              alpha=alpha, phi0=params[2])
-    return np.asarray(models.eval_logistic_family(record, times), dtype=float)
-
-
 def _load_series(args) -> dataio.TimeSeries:
     series = dataio.read_csv(args.input, time_col=args.time_col,
                              value_col=args.value_col, label=args.label)
-    if getattr(args, "accumulation_start", None) is not None:
+    if args.accumulation_start is not None:
         keep = series.times >= args.accumulation_start
         if not np.any(keep):
             raise ValidationError(
                 f"--accumulation-start {args.accumulation_start} leaves no samples")
         series = dataio.TimeSeries(series.times[keep], series.values[keep],
                                    label=series.label, kind=series.kind)
-    if getattr(args, "cumulative", False):
+    if args.cumulative:
         series = dataio.cumulate(series)
     return series
 
 
 def _default_guess(model: str, series: dataio.TimeSeries):
     first_positive = next((v for v in series.values if v > 0), 1.0)
-    if model == fitting.LOGISTIC_FAMILY:
-        return (1.0, 1.0, float(first_positive))
-    return (1.0, 1.0)
+    return tuple(float(first_positive) if name == "phi0" else 1.0
+                 for name in models.fitted_names(model))
 
 
-def cmd_fit(args) -> int:
-    cfg = _resolve_config(args, "fit")
+def cmd_fit(args, cfg: RunConfig):
     series = _load_series(args)
     # Fail on incompatible log axes before any fitting work happens.
     dataio._apply_axes(series.label or "data", series.times, series.values,
@@ -269,21 +237,18 @@ def cmd_fit(args) -> int:
         raise ValidationError(f"--points must be >= 2, got {args.points}")
     dense_t = np.linspace(float(series.times[0]), float(series.times[-1]),
                           args.points)
-    fitted_curve = _eval_fitted(model, args.alpha, result.params, dense_t)
+    record = models.make_record(model, result.params, result.alpha)
     plot_path = cfg.path("." + cfg.plot_format)
-    dataio.emit_plot_series(
-        [(series.label or "data", series.times, series.values),
-         ("fitted", dense_t, fitted_curve)],
-        cfg.axes, plot_path, format=cfg.plot_format)
+    curves = [(series.label or "data", series.times, series.values),
+              ("fitted", dense_t, models.evaluate(record, dense_t))]
 
     onset = None
-    if model != fitting.POWER_LAW and not (model == fitting.LOGISTIC_FAMILY
-                                           and args.alpha == 0):
+    if result.terminal_forecast is not None:  # none for unbounded models
         est = fitting.saturation_onset(series, result)
         onset = {"half_terminal_time": est.half_terminal_time,
                  "terminal_value": est.terminal_value,
                  "crude_scale": est.crude_scale}
-    report_path = _write_report(cfg, {
+    return [(plot_path, curves, cfg.axes)], {
         "input": os.path.basename(str(args.input)),
         "cumulative": bool(args.cumulative),
         "fit": {
@@ -299,16 +264,12 @@ def cmd_fit(args) -> int:
         },
         "saturation_onset": onset,
         "plot_file": os.path.basename(plot_path),
-    })
-    print(plot_path)
-    print(report_path)
-    return 0
+    }
 
 
 # ----------------------------------------------------------------- analyze
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args, "analyze")
+def cmd_analyze(args, cfg: RunConfig):
     if args.demo != "coupled-logistic":
         raise ValidationError(f"unknown demo system {args.demo!r}")
     rates = args.rates
@@ -320,7 +281,7 @@ def cmd_analyze(args) -> int:
     if len(guess) != 2:
         raise ValidationError("--guess takes 2 comma-separated values: x,y")
     report = dynsys.stability_report(system, guess, tol=args.tol)
-    report_path = _write_report(cfg, {
+    return [], {
         "demo": args.demo,
         "rates": {"aR": rates[0], "bR": rates[1], "eRS": rates[2],
                   "aS": rates[3], "bS": rates[4], "eSR": rates[5]},
@@ -332,15 +293,12 @@ def cmd_analyze(args) -> int:
         "determinant": report.determinant,
         "eigenvalues": list(report.eigenvalues),
         "classification": report.classification,
-    })
-    print(report_path)
-    return 0
+    }
 
 
 # ----------------------------------------------------------------- compete
 
-def cmd_compete(args) -> int:
-    cfg = _resolve_config(args, "compete")
+def cmd_compete(args, cfg: RunConfig):
     params = dynsys.CompetitionParams(a1=args.a1, a2=args.a2, d1=args.d1,
                                       d2=args.d2, b=args.b, c=args.c)
     verdict = dynsys.exclusion_verdict(params)
@@ -356,10 +314,8 @@ def cmd_compete(args) -> int:
     grid = np.linspace(0.0, t_end, args.points)
     states = interp_states(traj, grid)
     plot_path = cfg.path("." + cfg.plot_format)
-    dataio.emit_plot_series(
-        [("phi1", grid, states[:, 0]), ("phi2", grid, states[:, 1])],
-        cfg.axes, plot_path, format=cfg.plot_format)
-    report_path = _write_report(cfg, {
+    curves = [("phi1", grid, states[:, 0]), ("phi2", grid, states[:, 1])]
+    return [(plot_path, curves, cfg.axes)], {
         "params": {"a1": args.a1, "a2": args.a2, "d1": args.d1,
                    "d2": args.d2, "b": args.b, "c": args.c},
         "verdict": verdict.verdict,
@@ -369,16 +325,12 @@ def cmd_compete(args) -> int:
         "final_state": {"phi1": float(states[-1, 0]),
                         "phi2": float(states[-1, 1])},
         "plot_file": os.path.basename(plot_path),
-    })
-    print(plot_path)
-    print(report_path)
-    return 0
+    }
 
 
 # --------------------------------------------------------------------- pde
 
-def cmd_pde(args) -> int:
-    cfg = _resolve_config(args, "pde")
+def cmd_pde(args, cfg: RunConfig):
     setup = fields.AdvectionSetup(c=args.c, phi0=args.phi0, x_min=args.x_min,
                                   x_max=args.x_max, n_cells=args.n_cells,
                                   cfl=args.cfl)
@@ -404,22 +356,18 @@ def cmd_pde(args) -> int:
             "terminal_profile": asymptote,
             "rel_err": abs(final - asymptote) / asymptote,
         })
-    probe_path = cfg.path("_probe." + cfg.plot_format)
-    dataio.emit_plot_series(probe_curves, cfg.axes, probe_path,
-                            format=cfg.plot_format)
 
     last = snapshots[-1]
     interior = slice(last.x_grid.size // 16, -1)  # skip the outflow edge
     exact = fields.euler_terminal_profile(setup, last.x_grid[interior])
     numeric = np.abs(last.phi[interior])
     rel = np.abs(numeric - exact) / exact
+    probe_path = cfg.path("_probe." + cfg.plot_format)
     profile_path = cfg.path("_profile." + cfg.plot_format)
-    dataio.emit_plot_series(
-        [("abs_phi_fd", last.x_grid[interior], numeric),
-         ("terminal_profile", last.x_grid[interior], exact)],
-        dataio.AXES_LINEAR, profile_path, format=cfg.plot_format)
-
-    report_path = _write_report(cfg, {
+    profile_curves = [("abs_phi_fd", last.x_grid[interior], numeric),
+                      ("terminal_profile", last.x_grid[interior], exact)]
+    return [(probe_path, probe_curves, cfg.axes),
+            (profile_path, profile_curves, dataio.AXES_LINEAR)], {
         "setup": {"c": setup.c, "phi0": setup.phi0, "x_min": setup.x_min,
                   "x_max": setup.x_max, "n_cells": setup.n_cells,
                   "cfl": setup.cfl},
@@ -428,20 +376,15 @@ def cmd_pde(args) -> int:
         "profile_max_rel_err": float(np.max(rel)),
         "probe_file": os.path.basename(probe_path),
         "profile_file": os.path.basename(profile_path),
-    })
-    print(probe_path)
-    print(profile_path)
-    print(report_path)
-    return 0
+    }
 
 
 # ------------------------------------------------------------ classify-early
 
-def cmd_classify_early(args) -> int:
-    cfg = _resolve_config(args, "classify-early")
+def cmd_classify_early(args, cfg: RunConfig):
     series = _load_series(args)
     verdict = fitting.early_growth_classifier(series, window=args.window)
-    report_path = _write_report(cfg, {
+    return [], {
         "input": os.path.basename(str(args.input)),
         "window": args.window,
         "verdict": verdict.verdict,
@@ -449,9 +392,7 @@ def cmd_classify_early(args) -> int:
         "r2_exponential": verdict.r2_exponential,
         "r2_power_law": verdict.r2_power_law,
         "n_points": verdict.n_points,
-    })
-    print(report_path)
-    return 0
+    }
 
 
 # ----------------------------------------------------------------- parsing
@@ -620,7 +561,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(argv))
-        return args.func(args)
+        return _run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError,
                      RootNotFoundError, ValidationError)
-from .ode import AutonomousSystem
+from .ode import _MAX_STEPS, AutonomousSystem
 
 _VEL_FLOOR = 1e-12        # guards the CFL division on a flat (zero) field
 _BISECT_ITERS = 48
@@ -213,7 +213,9 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     asymptote sqrt(phi0**2 + 2/x) — holding both ends at the initial level
     undershoots the x = 50 terminal magnitude by ~13% on the default domain.
 
-    Snapshots are linearly interpolated in time between march steps.
+    Snapshots are linearly interpolated in time between march steps.  A march
+    past _MAX_STEPS steps raises NumericalError: before it starts when the
+    acceleration bound alone implies that many, else when the budget runs out.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be >= 0, got {t_end!r}")
@@ -231,6 +233,10 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     x_ghost_right = setup.x_max + 0.5 * dx
     ghost_right = -math.sqrt(setup.phi0 ** 2 + 2.0 / x_ghost_right)
     dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
+    if t_end / dt_accel > _MAX_STEPS:
+        raise NumericalError(
+            f"t_end={t_end!r} needs at least {t_end / dt_accel:.4g} steps of at "
+            f"most {dt_accel:.4g}, over the budget of {_MAX_STEPS}")
 
     phi = np.full(setup.n_cells, -setup.phi0)
     t = 0.0
@@ -249,7 +255,12 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
             snapshots.append(FieldSnapshot(t=s, x_grid=x.copy(), phi=interp))
 
     flush(0.0, phi, 0.0, phi)
+    n_steps = 0
     while t < t_end:
+        if n_steps == _MAX_STEPS:
+            raise NumericalError(
+                f"march used its budget of {_MAX_STEPS} steps at t={t!r} of {t_end!r}")
+        n_steps += 1
         speed = float(np.max(np.abs(phi)))
         dt = setup.cfl * dx / max(speed, _VEL_FLOOR)
         dt = min(dt, dt_accel, t_end - t)

@@ -7,7 +7,9 @@ while the power-law exponent stays linear.  Residuals are taken either in
 value space or in log space, per the problem's loss_space.  Eight starts are
 run — the caller's guess plus seven perturbations drawn from a fixed-seed
 generator — and the best converged final residual wins, so repeated calls on
-the same problem return identical results.
+the same problem return identical results.  Parameter names, records and
+evaluation come from the family table in models, terminal levels from
+models.terminal_value.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -24,14 +26,9 @@ import numpy as np
 from .dataio import TimeSeries
 from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
-from .models import (GeneralizedLogisticParams, PowerLawParams,
-                     SaturatingLinearParams, eval_logistic_family,
-                     eval_power_law, eval_saturating_linear)
-
-POWER_LAW = "power-law"
-SATURATING_LINEAR = "saturating-linear"
-LOGISTIC_FAMILY = "logistic-family"
-_MODELS = (POWER_LAW, SATURATING_LINEAR, LOGISTIC_FAMILY)
+from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
+                     SaturatingLinearParams, evaluate, fitted_names,
+                     make_record, terminal_value)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -39,11 +36,6 @@ LOSS_LOG = "log"
 EXPONENTIAL = "exponential"
 INDETERMINATE = "indeterminate"
 
-_PARAM_NAMES = {
-    POWER_LAW: ("a", "beta"),
-    SATURATING_LINEAR: ("a", "b"),
-    LOGISTIC_FAMILY: ("a", "b", "phi0"),
-}
 _N_STARTS = 8
 _START_SEED = 12345
 _PERTURB_SCALE = 0.3
@@ -64,13 +56,13 @@ class FitProblem:
     alpha: int = 1  # logistic-family only: fixed nonlinearity exponent
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValidationError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in FAMILIES:
+            raise ValidationError(f"model must be one of {tuple(FAMILIES)}, got {self.model!r}")
         if self.loss_space not in (LOSS_LINEAR, LOSS_LOG):
             raise ValidationError(
                 f"loss_space must be {LOSS_LINEAR!r} or {LOSS_LOG!r}, "
                 f"got {self.loss_space!r}")
-        names = _PARAM_NAMES[self.model]
+        names = fitted_names(self.model)
         guess = tuple(float(g) for g in self.initial_guess)
         object.__setattr__(self, "initial_guess", guess)
         if len(guess) != len(names):
@@ -145,7 +137,7 @@ class OnsetEstimate:
 
 def _theta_is_log(model):
     # Which coordinates are optimized as logs (True) vs linearly (False).
-    return tuple(name != "beta" for name in _PARAM_NAMES[model])
+    return tuple(name != "beta" for name in fitted_names(model))
 
 
 def _to_theta(params, is_log):
@@ -173,17 +165,8 @@ def _theta_bounds(bounds, is_log):
 
 def _predictor(problem):
     t = problem.series.times
-    if problem.model == POWER_LAW:
-        return lambda p: eval_power_law(PowerLawParams(a=p[0], beta=p[1]), t)
-    if problem.model == SATURATING_LINEAR:
-        return lambda p: eval_saturating_linear(SaturatingLinearParams(a=p[0], b=p[1]), t)
-    alpha = problem.alpha
-
-    def predict(p):
-        record = GeneralizedLogisticParams(a=p[0], b=p[1], alpha=alpha, phi0=p[2])
-        return eval_logistic_family(record, t)
-
-    return predict
+    model, alpha = problem.model, problem.alpha
+    return lambda p: evaluate(make_record(model, p, alpha), t)
 
 
 def _residual_fn(problem):
@@ -317,6 +300,10 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     chosen = best if best is not None else best_any
     cost, theta, iters, converged, jac = chosen
     params = _from_theta(theta, is_log)
+    try:
+        forecast = _terminal_forecast(make_record(problem.model, params, problem.alpha))
+    except ParameterError:
+        forecast = None  # no start could be evaluated: the clipped guess is no model
     n_res = len(problem.series)
     rmse = math.sqrt(2.0 * cost / n_res) if math.isfinite(cost) else math.inf
     if jac is not None and np.all(np.isfinite(jac)):
@@ -325,11 +312,11 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         condition = math.inf
     result = FitResult(
         params=params,
-        param_names=_PARAM_NAMES[problem.model],
+        param_names=fitted_names(problem.model),
         rmse=rmse,
         iterations=iters,
         converged=converged,
-        terminal_forecast=_terminal_forecast(problem, params),
+        terminal_forecast=forecast,
         jacobian_condition=condition,
         model=problem.model,
         loss_space=problem.loss_space,
@@ -342,12 +329,14 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     return result
 
 
-def _terminal_forecast(problem, params):
-    if problem.model == SATURATING_LINEAR:
-        return params[0] / params[1]
-    if problem.model == LOGISTIC_FAMILY and problem.alpha >= 1:
-        return (params[0] / params[1]) ** (1.0 / problem.alpha)
-    return None  # power law and alpha = 0 grow without bound
+def _terminal_forecast(record):
+    """Finite terminal level of a fitted model, None where it has none."""
+    if getattr(record, "alpha", None) == 0:
+        return None  # unbounded (or, at a == b, constant) exponential growth
+    try:
+        return terminal_value(record)
+    except ParameterError:
+        return None  # the power law grows without bound
 
 
 def _ols_r2(x, y):
@@ -411,21 +400,16 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
     Unbounded models (power law, alpha = 0) have no terminal value to
     approach, nor does a start at phi0 = 0 ever leave it.
     """
-    if fitted.model == POWER_LAW or (fitted.model == LOGISTIC_FAMILY
-                                     and fitted.alpha == 0):
+    record = make_record(fitted.model, fitted.params, fitted.alpha)
+    terminal = _terminal_forecast(record)
+    if terminal is None:
         raise DomainError(
             "not applicable: an unbounded model never saturates")
-    p = fitted.named_params()
-    if fitted.model == SATURATING_LINEAR:
-        b = p["b"]
-        return OnsetEstimate(half_terminal_time=math.log(2.0) / b,
-                             terminal_value=p["a"] / b,
-                             crude_scale=1.0 / b)
+    if isinstance(record, SaturatingLinearParams):
+        return OnsetEstimate(half_terminal_time=math.log(2.0) / record.b,
+                             terminal_value=terminal, crude_scale=1.0 / record.b)
 
-    record = GeneralizedLogisticParams(a=p["a"], b=p["b"], alpha=fitted.alpha,
-                                       phi0=p["phi0"])
     a, b, al, phi0 = record.a, record.b, record.alpha, record.phi0
-    terminal = (a / b) ** (1.0 / al)
     if phi0 >= 0.5 * terminal:
         return OnsetEstimate(half_terminal_time=0.0, terminal_value=terminal,
                              crude_scale=None)

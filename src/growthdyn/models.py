@@ -11,15 +11,22 @@ Three families, in increasing order of structure:
 
 Every member has a closed form: for alpha >= 1 the growth law is a Bernoulli
 equation, linear in u = phi**-alpha, so one expression covers every alpha.
+
+FAMILIES maps a family name to its record class, whose fields in order are the
+parameter names; fitting and the CLI build records and evaluate through it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+
+POWER_LAW = "power-law"
+SATURATING_LINEAR = "saturating-linear"
+LOGISTIC_FAMILY = "logistic-family"
 
 # exp() overflow threshold for float64, with headroom
 _EXP_MAX = 700.0
@@ -114,6 +121,26 @@ class GeneralizedLogisticParams:
                 f"b*phi0**alpha={self.b * self.phi0 ** al}")
 
 
+FAMILIES = {POWER_LAW: PowerLawParams, SATURATING_LINEAR: SaturatingLinearParams,
+            LOGISTIC_FAMILY: GeneralizedLogisticParams}
+# A fit estimates every field but the logistic exponent, which it holds fixed.
+_FITTED_NAMES = {family: tuple(f.name for f in fields(cls) if f.name != "alpha")
+                 for family, cls in FAMILIES.items()}
+
+
+def fitted_names(family):
+    """Names of the parameters a fit estimates, in record-field order."""
+    return _FITTED_NAMES[family]
+
+
+def make_record(family, params, alpha=None):
+    """A family's record from fitted params plus the logistic exponent alpha."""
+    named = dict(zip(_FITTED_NAMES[family], params))
+    if family == LOGISTIC_FAMILY:
+        named["alpha"] = alpha
+    return FAMILIES[family](**named)
+
+
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
@@ -191,6 +218,18 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
                 f"b*phi0**alpha/a = {r:.3g}")
         out = phi0 / scale
     return float(out) if scalar else out
+
+
+def evaluate(params, t):
+    """Evaluate any family's record at time(s) t, dispatching on its type."""
+    # Named at call time, so a wrapper bound over the module attribute sees it.
+    if isinstance(params, GeneralizedLogisticParams):
+        return eval_logistic_family(params, t)
+    if isinstance(params, SaturatingLinearParams):
+        return eval_saturating_linear(params, t)
+    if isinstance(params, PowerLawParams):
+        return eval_power_law(params, t)
+    raise ParameterError(f"no growth law for {type(params).__name__}")
 
 
 def terminal_value(params):

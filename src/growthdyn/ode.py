@@ -28,6 +28,7 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 _UNDERFLOW_FRACTION = 1e-14  # dt below this fraction of the span is a stiffness failure
+_MAX_STEPS = 10_000_000      # step budget of integrate_fixed and the field march
 
 
 @dataclass(frozen=True)
@@ -79,26 +80,39 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     """Classical RK4 with a fixed step.
 
     The last step is shortened so the final grid point equals t1 exactly.
-    Global error is O(dt**4) on smooth systems.
+    Global error is O(dt**4) on smooth systems.  The rhs shape is checked on
+    the first call and the state's finiteness once per step; a march of more
+    than _MAX_STEPS steps is refused before anything is allocated.
     """
     _check_span(t0, t1)
     span = t1 - t0
     if not (math.isfinite(dt) and 0 < dt <= span * (1 + 1e-12)):
         raise ValidationError(f"need 0 < dt <= t1 - t0, got dt={dt}")
     y = _initial_state(system, y0)
+    if span / dt > _MAX_STEPS:
+        raise NumericalError(
+            f"dt={dt!r} over [{t0!r}, {t1!r}] needs {span / dt:.4g} steps, "
+            f"over the budget of {_MAX_STEPS}")
     n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, system.dimension))
     times[0] = t0
     states[0] = y
+    rhs = system.rhs
+    k1 = _eval_rhs(system, y, t0)
     for i in range(n_steps):
         t = t0 + i * dt
         h = dt if i < n_steps - 1 else t1 - t
-        k1 = _eval_rhs(system, y, t)
-        k2 = _eval_rhs(system, y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = _eval_rhs(system, y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = _eval_rhs(system, y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i:
+            k1 = np.asarray(rhs(y), dtype=float)
+        k2 = np.asarray(rhs(y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(rhs(y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(rhs(y + h * k3), dtype=float)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y_new)):
+            raise NumericalError(
+                f"non-finite state after the step from t={t!r}, state={y.tolist()!r}")
+        y = y_new
         times[i + 1] = t0 + (i + 1) * dt
         states[i + 1] = y
     times[-1] = t1

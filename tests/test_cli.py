@@ -36,6 +36,31 @@ def _write_saturating_csv(path, a=3.0, b=0.8, n=60):
     path.write_text("\n".join(lines) + "\n")
 
 
+class TestDriverContract:
+    @pytest.mark.parametrize("subcommand, argv, suffixes", [
+        ("simulate", ["--model", "logistic", "--alpha", "1,2"], [".csv"]),
+        ("fit", ["{data}", "--model", "power"], [".csv"]),
+        ("analyze", [], []),
+        ("compete", ["--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1",
+                     "--b", "1", "--c", "1", "--points", "11"], [".csv"]),
+        ("pde", ["--x-max", "20", "--n-cells", "32", "--t-end", "5",
+                 "--n-snapshots", "4", "--probe-x", "10"],
+         ["_probe.csv", "_profile.csv"]),
+        ("classify-early", ["{data}"], []),
+    ])
+    def test_prints_tables_then_report_and_writes_only_those(
+            self, tmp_path, capsys, subcommand, argv, suffixes):
+        data = tmp_path / "data.csv"
+        _write_power_csv(data)
+        out_dir = tmp_path / "out"
+        argv = [a.format(data=data) for a in argv]
+        assert main([subcommand, *argv, "--out-dir", str(out_dir)]) == 0
+        expected = [str(out_dir / (subcommand + s)) for s in suffixes + ["_report.json"]]
+        assert capsys.readouterr().out.splitlines() == expected
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            sorted(subcommand + s for s in suffixes + ["_report.json"])
+
+
 class TestSimulate:
     def test_creates_plot_and_report(self, tmp_path, capsys):
         code = main(["simulate", "--model", "power", "--points", "11",

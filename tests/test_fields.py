@@ -5,13 +5,17 @@ from prototype runs of an independent characteristic-tracing script before
 the finite-difference code was written.
 """
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from growthdyn import fields
+
 from growthdyn import (AdvectionSetup, DiffusionParams, DomainError,
-                       FieldSnapshot, ParameterError, ValidationError,
+                       FieldSnapshot, NumericalError, ParameterError,
+                       ValidationError,
                        characteristic_energy, characteristic_particle_system,
                        diffusion_point_source, euler_characteristic_phi,
                        euler_terminal_profile, evolve_advection_fd,
@@ -150,6 +154,21 @@ class TestAdvectionSetup:
 
 
 class TestUpwindScheme:
+    def test_step_budget_refused_before_marching(self):
+        # every step is at most cfl*sqrt(dx)*x_min ~ 3.2, so 1e9 needs ~3e8 steps
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="budget"):
+            evolve_advection_fd(AdvectionSetup(n_cells=16), 1e9, [])
+        assert time.perf_counter() - start < 0.1
+
+    def test_step_budget_ends_a_cfl_limited_march(self, monkeypatch):
+        # phi0 = 10 makes the CFL step ~10x shorter than the acceleration
+        # bound, so the march needs ~100 steps against a budget of 50
+        monkeypatch.setattr(fields, "_MAX_STEPS", 50)
+        setup = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16, phi0=10.0)
+        with pytest.raises(NumericalError, match="budget of 50 steps"):
+            evolve_advection_fd(setup, 9.0, [])
+
     def test_snapshot_contract(self):
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
         times = [0.0, 10.0, 20.0]

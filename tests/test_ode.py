@@ -4,13 +4,14 @@ Reference trajectories use analytically solvable right-hand sides so no
 third-party solver is needed as an oracle.
 """
 import math
+import time
 
 import numpy as np
 import pytest
 
-from growthdyn import (AutonomousSystem, StiffnessError, Trajectory,
-                       ValidationError, integrate_adaptive, integrate_fixed,
-                       interp_states)
+from growthdyn import (AutonomousSystem, NumericalError, StiffnessError,
+                       Trajectory, ValidationError, integrate_adaptive,
+                       integrate_fixed, interp_states)
 
 DECAY = AutonomousSystem(1, lambda s: -s)
 
@@ -68,6 +69,25 @@ class TestFixedStep:
     def test_reversed_span_rejected(self):
         with pytest.raises(ValidationError):
             integrate_fixed(DECAY, np.array([1.0]), 1.0, 0.0, 0.1)
+
+    def test_wrong_rhs_shape_rejected(self):
+        system = AutonomousSystem(1, lambda s: np.array([1.0, 2.0]))
+        with pytest.raises(ValidationError, match="shape"):
+            integrate_fixed(system, np.array([1.0]), 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("nan_below", [2.0, 1.5])
+    def test_nan_derivative_reported(self, nan_below):
+        # NaN at the initial state (2.0) or after the state has decayed (1.5)
+        system = AutonomousSystem(
+            1, lambda s: np.array([math.nan if s[0] < nan_below else -s[0]]))
+        with pytest.raises(NumericalError, match=r"t=.*state="):
+            integrate_fixed(system, np.array([1.9]), 0.0, 1.0, 0.01)
+
+    def test_step_budget_refused_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="budget"):
+            integrate_fixed(DECAY, np.array([1.0]), 0.0, 1e3, 1e-9)
+        assert time.perf_counter() - start < 0.1
 
     def test_two_dimensional_rotation(self):
         system = AutonomousSystem(2, lambda s: np.array([-s[1], s[0]]))
