@@ -303,7 +303,7 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     try:
         forecast = _terminal_forecast(make_record(problem.model, params, problem.alpha))
     except ParameterError:
-        forecast = None  # no start could be evaluated: the clipped guess is no model
+        forecast = None  # no start could be evaluated: the clipped guess is not a model
     n_res = len(problem.series)
     rmse = math.sqrt(2.0 * cost / n_res) if math.isfinite(cost) else math.inf
     if jac is not None and np.all(np.isfinite(jac)):

@@ -135,10 +135,10 @@ def fitted_names(family):
 
 def make_record(family, params, alpha=None):
     """A family's record from fitted params plus the logistic exponent alpha."""
-    named = dict(zip(_FITTED_NAMES[family], params))
-    if family == LOGISTIC_FAMILY:
-        named["alpha"] = alpha
-    return FAMILIES[family](**named)
+    if family == LOGISTIC_FAMILY:  # alpha sits between b and phi0 in field order
+        a, b, phi0 = params
+        return GeneralizedLogisticParams(a, b, alpha, phi0)
+    return FAMILIES[family](*params)
 
 
 def _as_times(t):

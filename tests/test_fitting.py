@@ -162,6 +162,17 @@ class TestFitFailureModes:
         assert isinstance(info.value.best, FitResult)
         assert not info.value.best.converged
 
+    def test_guess_outside_growth_regime_stays_nonconvergence(self):
+        # a < b*phi0**alpha at every start: no start can be evaluated, and the
+        # best attempt (the guess) is no valid model, so it has no forecast
+        t = np.linspace(0.0, 8.0, 50)
+        problem = FitProblem(_series(t, 5.0 / (1.0 + 4.0 * np.exp(-t))),
+                             LOGISTIC_FAMILY, (1.0, 1.0, 100.0))
+        with pytest.raises(NonConvergenceError) as info:
+            fit(problem)
+        assert info.value.best.rmse == math.inf
+        assert info.value.best.terminal_forecast is None
+
     def test_bad_tol(self):
         t = np.linspace(0.2, 6.0, 40)
         problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1.0, 1.0))
