@@ -1,10 +1,14 @@
 """Command-line front end: simulate, fit, analyze, compete, pde, classify-early.
 
-Every subcommand is a ``cmd_*(args, cfg)`` that validates its parameters,
-computes, and returns its plot-ready tables plus a report dict; one driver
-then writes the tables, writes the versioned JSON report (``"schema": 1``)
-and prints their paths, so a failed command leaves no partial files.  Output
-is data only — CSV/JSON columns for external plotting tools, no rendering.
+Every subcommand is a ``cmd_*(args)`` that validates its parameters,
+computes, and returns its plot-ready tables, each ``(name, curves, axes)``,
+plus a report dict whose values may be result records.  One driver then
+writes table ``name`` to ``PREFIX.FMT`` when the name is ``"plot"`` and to
+``PREFIX_name.FMT`` otherwise, adds ``"<name>_file"`` to the report, writes
+the versioned JSON report ``PREFIX_report.json`` (``"schema": 1``, records
+serialized field by field) and prints the paths, so a failed command leaves
+no partial files.  Output is data only — CSV/JSON columns for external
+plotting tools, no rendering.
 
 Conventions shared by all subcommands:
 
@@ -47,20 +51,6 @@ _GRID_LINEAR = "linear"
 _GRID_LOG = "log"
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved output plumbing shared by every subcommand."""
-
-    subcommand: str
-    out_dir: str
-    prefix: str
-    axes: str
-    plot_format: str
-
-    def path(self, suffix: str) -> str:
-        return os.path.join(self.out_dir, self.prefix + suffix)
-
-
 def _float_list(text: str):
     try:
         out = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -101,6 +91,8 @@ def _jsonable(v):
             if isinstance(v, np.ndarray) else [_jsonable(x) for x in v]
     if isinstance(v, (np.floating, np.integer)):
         return _jsonable(v.item())
+    if dataclasses.is_dataclass(v):
+        return _jsonable(dataclasses.asdict(v))
     return str(v)
 
 
@@ -108,18 +100,23 @@ def _run(args) -> int:
     """Compute a subcommand, then write its tables and report and print their paths."""
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    cfg = RunConfig(subcommand=args.subcommand, out_dir=out_dir,
-                    prefix=args.prefix or args.subcommand, axes=args.axes,
-                    plot_format=args.plot_format)
-    tables, report = args.func(args, cfg)
-    for path, curves, axes in tables:
-        dataio.emit_plot_series(curves, axes, path, format=cfg.plot_format)
-    body = _jsonable({"schema": _SCHEMA, "subcommand": cfg.subcommand, **report})
-    report_path = cfg.path("_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    stem = os.path.join(out_dir, args.prefix or args.subcommand)
+
+    def artifact(name, ext):
+        return f"{stem}.{ext}" if name == "plot" else f"{stem}_{name}.{ext}"
+
+    tables, report = args.func(args)
+    paths = []
+    for name, curves, axes in tables:
+        paths.append(artifact(name, args.plot_format))
+        dataio.emit_plot_series(curves, axes, paths[-1], format=args.plot_format)
+        report[name + "_file"] = os.path.basename(paths[-1])
+    paths.append(artifact("report", "json"))
+    body = _jsonable({"schema": _SCHEMA, "subcommand": args.subcommand, **report})
+    with open(paths[-1], "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for path in [path for path, _, _ in tables] + [report_path]:
+    for path in paths:
         print(path)
     return 0
 
@@ -158,43 +155,38 @@ _CLI_TO_FIT_MODEL = {
 # ---------------------------------------------------------------- simulate
 
 def _simulate_combos(args, family):
-    """Cartesian fan-out over list-valued model parameters."""
+    """Cartesian fan-out over list-valued model parameters: (label, record)."""
     names = [f.name for f in dataclasses.fields(models.FAMILIES[family])]
     pools = [getattr(args, name) for name in names]
     varying = [name for name, pool in zip(names, pools) if len(pool) > 1]
-    combos = []
     for combo in itertools.product(*pools):
         named = dict(zip(names, combo))
         if varying:
             label = ",".join(f"{n}={_fmt(named[n])}" for n in varying)
         else:
             label = args.model
-        combos.append((label, named))
-    return combos
+        yield label, models.FAMILIES[family](**named)
 
 
-def cmd_simulate(args, cfg: RunConfig):
+def cmd_simulate(args):
     family = _CLI_TO_FIT_MODEL[args.model]
     times = _time_grid(args)
     curves = []
     summary = []
-    for label, named in _simulate_combos(args, family):
-        record = models.FAMILIES[family](**named)
+    for label, record in _simulate_combos(args, family):
         curves.append((label, times, models.evaluate(record, times)))
         try:
             terminal = models.terminal_value(record)
         except ParameterError:
             terminal = None  # the power law has no terminal level
-        summary.append({"label": label, "params": named,
+        summary.append({"label": label, "params": record,
                         "terminal_value": terminal})
-    plot_path = cfg.path("." + cfg.plot_format)
-    return [(plot_path, curves, cfg.axes)], {
+    return [("plot", curves, args.axes)], {
         "model": args.model,
-        "axes": cfg.axes,
+        "axes": args.axes,
         "grid": {"t_min": float(times[0]), "t_max": float(times[-1]),
                  "points": int(times.size)},
         "curves": summary,
-        "plot_file": os.path.basename(plot_path),
     }
 
 
@@ -221,11 +213,11 @@ def _default_guess(model: str, series: dataio.TimeSeries):
                  for name in models.fitted_names(model))
 
 
-def cmd_fit(args, cfg: RunConfig):
+def cmd_fit(args):
     series = _load_series(args)
     # Fail on incompatible log axes before any fitting work happens.
     dataio._apply_axes(series.label or "data", series.times, series.values,
-                       cfg.axes)
+                       args.axes)
     model = _CLI_TO_FIT_MODEL[args.model]
     guess = tuple(args.guess) if args.guess else _default_guess(model, series)
     problem = fitting.FitProblem(series=series, model=model,
@@ -238,38 +230,24 @@ def cmd_fit(args, cfg: RunConfig):
     dense_t = np.linspace(float(series.times[0]), float(series.times[-1]),
                           args.points)
     record = models.make_record(model, result.params, result.alpha)
-    plot_path = cfg.path("." + cfg.plot_format)
     curves = [(series.label or "data", series.times, series.values),
               ("fitted", dense_t, models.evaluate(record, dense_t))]
-
     onset = None
     if result.terminal_forecast is not None:  # none for unbounded models
-        est = fitting.saturation_onset(series, result)
-        onset = {"half_terminal_time": est.half_terminal_time,
-                 "terminal_value": est.terminal_value,
-                 "crude_scale": est.crude_scale}
-    return [(plot_path, curves, cfg.axes)], {
+        onset = fitting.saturation_onset(series, result)
+    fit_block = {**dataclasses.asdict(result), "params": result.named_params()}
+    del fit_block["param_names"]  # the params are reported by name
+    return [("plot", curves, args.axes)], {
         "input": os.path.basename(str(args.input)),
         "cumulative": bool(args.cumulative),
-        "fit": {
-            "model": result.model,
-            "loss_space": result.loss_space,
-            "alpha": result.alpha,
-            "params": result.named_params(),
-            "rmse": result.rmse,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "terminal_forecast": result.terminal_forecast,
-            "jacobian_condition": result.jacobian_condition,
-        },
+        "fit": fit_block,
         "saturation_onset": onset,
-        "plot_file": os.path.basename(plot_path),
     }
 
 
 # ----------------------------------------------------------------- analyze
 
-def cmd_analyze(args, cfg: RunConfig):
+def cmd_analyze(args):
     if args.demo != "coupled-logistic":
         raise ValidationError(f"unknown demo system {args.demo!r}")
     rates = args.rates
@@ -283,22 +261,14 @@ def cmd_analyze(args, cfg: RunConfig):
     report = dynsys.stability_report(system, guess, tol=args.tol)
     return [], {
         "demo": args.demo,
-        "rates": {"aR": rates[0], "bR": rates[1], "eRS": rates[2],
-                  "aS": rates[3], "bS": rates[4], "eSR": rates[5]},
-        "fixed_point": {"s_c": report.fixed_point.s_c,
-                        "r_c": report.fixed_point.r_c,
-                        "residual_norm": report.fixed_point.residual_norm},
-        "jacobian": list(report.jacobian),
-        "trace": report.trace,
-        "determinant": report.determinant,
-        "eigenvalues": list(report.eigenvalues),
-        "classification": report.classification,
+        "rates": dict(zip(("aR", "bR", "eRS", "aS", "bS", "eSR"), rates)),
+        **dataclasses.asdict(report),
     }
 
 
 # ----------------------------------------------------------------- compete
 
-def cmd_compete(args, cfg: RunConfig):
+def cmd_compete(args):
     params = dynsys.CompetitionParams(a1=args.a1, a2=args.a2, d1=args.d1,
                                       d2=args.d2, b=args.b, c=args.c)
     verdict = dynsys.exclusion_verdict(params)
@@ -313,24 +283,19 @@ def cmd_compete(args, cfg: RunConfig):
                               rel_tol=1e-10, abs_tol=1e-12)
     grid = np.linspace(0.0, t_end, args.points)
     states = interp_states(traj, grid)
-    plot_path = cfg.path("." + cfg.plot_format)
     curves = [("phi1", grid, states[:, 0]), ("phi2", grid, states[:, 1])]
-    return [(plot_path, curves, cfg.axes)], {
-        "params": {"a1": args.a1, "a2": args.a2, "d1": args.d1,
-                   "d2": args.d2, "b": args.b, "c": args.c},
-        "verdict": verdict.verdict,
-        "survivor_limit": verdict.survivor_limit,
-        "ratio": verdict.ratio,
+    return [("plot", curves, args.axes)], {
+        "params": params,
+        **dataclasses.asdict(verdict),
         "t_end": t_end,
         "final_state": {"phi1": float(states[-1, 0]),
                         "phi2": float(states[-1, 1])},
-        "plot_file": os.path.basename(plot_path),
     }
 
 
 # --------------------------------------------------------------------- pde
 
-def cmd_pde(args, cfg: RunConfig):
+def cmd_pde(args):
     setup = fields.AdvectionSetup(c=args.c, phi0=args.phi0, x_min=args.x_min,
                                   x_max=args.x_max, n_cells=args.n_cells,
                                   cfl=args.cfl)
@@ -362,36 +327,26 @@ def cmd_pde(args, cfg: RunConfig):
     exact = fields.euler_terminal_profile(setup, last.x_grid[interior])
     numeric = np.abs(last.phi[interior])
     rel = np.abs(numeric - exact) / exact
-    probe_path = cfg.path("_probe." + cfg.plot_format)
-    profile_path = cfg.path("_profile." + cfg.plot_format)
     profile_curves = [("abs_phi_fd", last.x_grid[interior], numeric),
                       ("terminal_profile", last.x_grid[interior], exact)]
-    return [(probe_path, probe_curves, cfg.axes),
-            (profile_path, profile_curves, dataio.AXES_LINEAR)], {
-        "setup": {"c": setup.c, "phi0": setup.phi0, "x_min": setup.x_min,
-                  "x_max": setup.x_max, "n_cells": setup.n_cells,
-                  "cfl": setup.cfl},
+    return [("probe", probe_curves, args.axes),
+            ("profile", profile_curves, dataio.AXES_LINEAR)], {
+        "setup": setup,
         "t_end": args.t_end,
         "probes": probe_summaries,
         "profile_max_rel_err": float(np.max(rel)),
-        "probe_file": os.path.basename(probe_path),
-        "profile_file": os.path.basename(profile_path),
     }
 
 
 # ------------------------------------------------------------ classify-early
 
-def cmd_classify_early(args, cfg: RunConfig):
+def cmd_classify_early(args):
     series = _load_series(args)
     verdict = fitting.early_growth_classifier(series, window=args.window)
     return [], {
         "input": os.path.basename(str(args.input)),
         "window": args.window,
-        "verdict": verdict.verdict,
-        "estimate": verdict.estimate,
-        "r2_exponential": verdict.r2_exponential,
-        "r2_power_law": verdict.r2_power_law,
-        "n_points": verdict.n_points,
+        **dataclasses.asdict(verdict),
     }
 
 

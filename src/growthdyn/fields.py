@@ -16,7 +16,8 @@ Starting from a flat level the field magnitude at fixed x grows monotonically
 toward the terminal profile sqrt(phi0**2 + 2/x).
 
 Sign convention: the force -1/x**2 is negative, so the signed field evolves
-negative from a flat start and transport runs toward small x.  The solver
+negative from a flat start, never turns positive, and transport runs toward
+small x; the march therefore upwinds from the large-x side only.  The solver
 tracks the signed field; magnitude comparisons are the caller's job (the CLI
 plots absolute values).
 """
@@ -200,22 +201,26 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     """March the forced advection equation with first-order upwinding.
 
     The signed field starts flat at -phi0 and is transported toward small x
-    while the source -1/x**2 pumps it.  Upwind direction follows the sign of
-    the local field; the time step obeys both the advective CFL bound
-    cfl*dx/max|phi| and an acceleration bound cfl*sqrt(dx)*x_min (a cell
-    starting from rest must not overshoot its neighbour within one step).
+    while the source -1/x**2 pumps it.  The time step obeys both the
+    advective CFL bound cfl*dx/max|phi| and an acceleration bound
+    cfl*sqrt(dx)*x_min (a cell starting from rest must not overshoot its
+    neighbour within one step).
 
-    Boundary handling: the outflow (small-x) ghost holds the initial level,
-    while the inflow (large-x) ghost holds the local terminal level
-    -sqrt(phi0**2 + 2/x_ghost).  Characteristics enter from the outer
+    The field never turns positive: with c = -dt*phi_i/dx in [0, cfl], each
+    step is (1 - c)*phi_i + c*phi_{i+1} + dt*source_i, a convex combination
+    of non-positive values plus a negative source.  So the upwind neighbour
+    is always the right (large-x) one, and the only boundary the march reads
+    is the inflow ghost past x_max.  That ghost holds the local terminal
+    level -sqrt(phi0**2 + 2/x_ghost): characteristics enter from the outer
     boundary, and a parcel admitted at the initial level instead of the
     terminal one carries too little energy ever to reach the interior
-    asymptote sqrt(phi0**2 + 2/x) — holding both ends at the initial level
+    asymptote sqrt(phi0**2 + 2/x) — holding the inflow at the initial level
     undershoots the x = 50 terminal magnitude by ~13% on the default domain.
 
-    Snapshots are linearly interpolated in time between march steps.  A march
-    past _MAX_STEPS steps raises NumericalError: before it starts when the
-    acceleration bound alone implies that many, else when the budget runs out.
+    Snapshots are linearly interpolated in time between march steps and share
+    one read-only grid.  A march past _MAX_STEPS steps raises NumericalError:
+    before it starts when the acceleration bound alone implies that many,
+    else when the budget runs out.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be >= 0, got {t_end!r}")
@@ -228,31 +233,34 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
 
     dx = setup.dx
     x = setup.cell_centers()
+    x.flags.writeable = False
     source = -1.0 / (x * x)
-    ghost_left = -setup.phi0
-    x_ghost_right = setup.x_max + 0.5 * dx
-    ghost_right = -math.sqrt(setup.phi0 ** 2 + 2.0 / x_ghost_right)
     dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
     if t_end / dt_accel > _MAX_STEPS:
         raise NumericalError(
             f"t_end={t_end!r} needs at least {t_end / dt_accel:.4g} steps of at "
             f"most {dt_accel:.4g}, over the budget of {_MAX_STEPS}")
 
-    phi = np.full(setup.n_cells, -setup.phi0)
+    # The field followed by the inflow ghost; phi is a view of the field part.
+    padded = np.full(setup.n_cells + 1, -setup.phi0)
+    padded[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
+    phi = padded[:-1]
     t = 0.0
     snapshots = []
-    pending = list(req)
+    next_snap = 0
 
     def flush(t_prev, phi_prev, t_now, phi_now):
-        while pending and pending[0] <= t_now + 1e-12 * max(1.0, t_now):
-            s = pending.pop(0)
+        nonlocal next_snap
+        while next_snap < len(req) and req[next_snap] <= t_now + 1e-12 * max(1.0, t_now):
+            s = req[next_snap]
+            next_snap += 1
             if t_now == t_prev:
                 interp = phi_now.copy()
             else:
                 w = (s - t_prev) / (t_now - t_prev)
                 w = min(max(w, 0.0), 1.0)
                 interp = (1.0 - w) * phi_prev + w * phi_now
-            snapshots.append(FieldSnapshot(t=s, x_grid=x.copy(), phi=interp))
+            snapshots.append(FieldSnapshot(t=s, x_grid=x, phi=interp))
 
     flush(0.0, phi, 0.0, phi)
     n_steps = 0
@@ -267,10 +275,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
         if speed * dt > dx:
             raise NumericalError(
                 f"CFL violation at t={t}: speed {speed:.3e}, dt {dt:.3e}, dx {dx:.3e}")
-        padded = np.concatenate(([ghost_left], phi, [ghost_right]))
-        fwd = (padded[2:] - padded[1:-1]) / dx    # uses the right neighbour
-        bwd = (padded[1:-1] - padded[:-2]) / dx   # uses the left neighbour
-        grad = np.where(phi > 0, bwd, fwd)
+        grad = (padded[1:] - phi) / dx
         phi_new = phi + dt * (source - phi * grad)
         if not np.all(np.isfinite(phi_new)):
             bad = int(np.argmax(~np.isfinite(phi_new)))
@@ -278,14 +283,11 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                 f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
                 "reduce cfl or refine the grid")
         flush(t, phi, t + dt, phi_new)
-        phi = phi_new
+        phi[:] = phi_new
         t += dt
-        if t >= t_end:
-            break
     # Anything still pending sits at t_end within round-off.
-    while pending:
-        s = pending.pop(0)
-        snapshots.append(FieldSnapshot(t=s, x_grid=x.copy(), phi=phi.copy()))
+    snapshots.extend(FieldSnapshot(t=s, x_grid=x, phi=phi.copy())
+                     for s in req[next_snap:])
     return snapshots
 
 

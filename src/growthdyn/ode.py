@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import NumericalError, StiffnessError, ValidationError
 
-# Dormand--Prince 5(4) tableau
+# Dormand--Prince 5(4) tableau; the last row of _DP_A is the 5th-order
+# solution, whose derivative is the 7th stage (first-same-as-last).
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -23,12 +25,12 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    _DP_B5[:6],
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 _UNDERFLOW_FRACTION = 1e-14  # dt below this fraction of the span is a stiffness failure
-_MAX_STEPS = 10_000_000      # step budget of integrate_fixed and the field march
+_MAX_STEPS = 10_000_000      # step budget of both integrators and the field march
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     abs_tol + rel_tol*|state|.  A non-finite derivative at an accepted point
     aborts; non-finite trial stages are treated as a failed step and retried
     smaller, and a step that shrinks below 1e-14*(t1 - t0) raises
-    StiffnessError.
+    StiffnessError.  More than _MAX_STEPS tried steps, accepted or rejected,
+    raise NumericalError.
     """
     _check_span(t0, t1)
     if not (rel_tol > 0 and abs_tol > 0):
@@ -143,6 +146,10 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     k1 = _eval_rhs(system, y, t)  # FSAL: reused across accepted steps
     n_accept = n_reject = 0
     while t < t1:
+        if n_accept + n_reject == _MAX_STEPS:
+            raise NumericalError(
+                f"adaptive integration used its budget of {_MAX_STEPS} steps "
+                f"at t={t!r} of t1={t1!r}")
         h = min(h, t1 - t)
         if h < h_min:
             raise StiffnessError(
@@ -151,16 +158,13 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
         ks = [k1]
         err = math.inf
         for row in _DP_A[1:]:
-            y_stage = y + h * sum(a_ij * k for a_ij, k in zip(row, ks))
-            dy = np.asarray(system.rhs(y_stage), dtype=float)
-            if not np.all(np.isfinite(dy)):
-                break
-            ks.append(dy)
-        else:
-            y5 = y + h * sum(b_i * k for b_i, k in zip(_DP_B5[:6], ks))
+            y5 = y + h * sum(a_ij * k for a_ij, k in zip(row, ks))
             k7 = np.asarray(system.rhs(y5), dtype=float)
-            if np.all(np.isfinite(k7)) and np.all(np.isfinite(y5)):
-                ks.append(k7)
+            if not np.all(np.isfinite(k7)):
+                break
+            ks.append(k7)
+        else:  # y5 and k7 now hold the last row's stage
+            if np.all(np.isfinite(y5)):
                 err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
                 scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
                 err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))

@@ -36,29 +36,67 @@ def _write_saturating_csv(path, a=3.0, b=0.8, n=60):
     path.write_text("\n".join(lines) + "\n")
 
 
+_FIT_KEYS = {"model", "loss_space", "alpha", "params", "rmse", "iterations",
+             "converged", "terminal_forecast", "jacobian_condition"}
+_ONSET_KEYS = {"half_terminal_time", "terminal_value", "crude_scale"}
+
+
 class TestDriverContract:
-    @pytest.mark.parametrize("subcommand, argv, suffixes", [
-        ("simulate", ["--model", "logistic", "--alpha", "1,2"], [".csv"]),
-        ("fit", ["{data}", "--model", "power"], [".csv"]),
-        ("analyze", [], []),
+    # keys: every top-level report key besides schema and subcommand, mapped
+    # to the keys of its nested block (None where the value is not pinned)
+    @pytest.mark.parametrize("subcommand, argv, suffixes, keys", [
+        ("simulate", ["--model", "logistic", "--alpha", "1,2"], [".csv"],
+         {"model": None, "axes": None, "grid": {"t_min", "t_max", "points"},
+          "curves": None, "plot_file": None}),
+        ("fit", ["{data}", "--model", "power"], [".csv"],
+         {"input": None, "cumulative": None, "fit": _FIT_KEYS,
+          "saturation_onset": None, "plot_file": None}),
+        ("analyze", [], [],
+         {"demo": None, "rates": {"aR", "bR", "eRS", "aS", "bS", "eSR"},
+          "fixed_point": {"s_c", "r_c", "residual_norm"}, "jacobian": None,
+          "trace": None, "determinant": None, "eigenvalues": None,
+          "classification": None}),
         ("compete", ["--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1",
-                     "--b", "1", "--c", "1", "--points", "11"], [".csv"]),
+                     "--b", "1", "--c", "1", "--points", "11"], [".csv"],
+         {"params": {"a1", "a2", "d1", "d2", "b", "c"}, "verdict": None,
+          "survivor_limit": None, "ratio": None, "t_end": None,
+          "final_state": {"phi1", "phi2"}, "plot_file": None}),
         ("pde", ["--x-max", "20", "--n-cells", "32", "--t-end", "5",
                  "--n-snapshots", "4", "--probe-x", "10"],
-         ["_probe.csv", "_profile.csv"]),
-        ("classify-early", ["{data}"], []),
+         ["_probe.csv", "_profile.csv"],
+         {"setup": {"c", "phi0", "x_min", "x_max", "n_cells", "cfl"},
+          "t_end": None, "probes": None, "profile_max_rel_err": None,
+          "probe_file": None, "profile_file": None}),
+        ("classify-early", ["{data}"], [],
+         {"input": None, "window": None, "verdict": None, "estimate": None,
+          "r2_exponential": None, "r2_power_law": None, "n_points": None}),
+        ("fit", ["{saturating}", "--model", "saturating"], [".csv"],
+         {"input": None, "cumulative": None, "fit": _FIT_KEYS,
+          "saturation_onset": _ONSET_KEYS, "plot_file": None}),
     ])
     def test_prints_tables_then_report_and_writes_only_those(
-            self, tmp_path, capsys, subcommand, argv, suffixes):
+            self, tmp_path, capsys, subcommand, argv, suffixes, keys):
         data = tmp_path / "data.csv"
         _write_power_csv(data)
+        saturating = tmp_path / "saturating.csv"
+        _write_saturating_csv(saturating)
         out_dir = tmp_path / "out"
-        argv = [a.format(data=data) for a in argv]
+        argv = [a.format(data=data, saturating=saturating) for a in argv]
         assert main([subcommand, *argv, "--out-dir", str(out_dir)]) == 0
         expected = [str(out_dir / (subcommand + s)) for s in suffixes + ["_report.json"]]
         assert capsys.readouterr().out.splitlines() == expected
         assert sorted(p.name for p in out_dir.iterdir()) == \
             sorted(subcommand + s for s in suffixes + ["_report.json"])
+
+        report = _read_report(expected[-1])
+        assert set(report) == {"schema", "subcommand", *keys}
+        for key, nested in keys.items():
+            if nested is not None:
+                assert set(report[key]) == nested, key
+        # every *_file entry names one of the printed tables, and each table
+        # has one
+        named = [v for k, v in report.items() if k.endswith("_file")]
+        assert sorted(named) == sorted(subcommand + s for s in suffixes)
 
 
 class TestSimulate:

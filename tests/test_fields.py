@@ -169,6 +169,22 @@ class TestUpwindScheme:
         with pytest.raises(NumericalError, match="budget of 50 steps"):
             evolve_advection_fd(setup, 9.0, [])
 
+    def test_field_stays_non_positive_on_one_shared_grid(self):
+        # each step is a convex combination of non-positive values plus a
+        # negative source, so the march never needs a left-hand upwind side
+        rng = np.random.default_rng(20261018)
+        for phi0 in (0.0, *rng.uniform(0.05, 2.0, 5)):
+            setup = AdvectionSetup(x_min=float(rng.uniform(0.5, 2.0)),
+                                   x_max=float(rng.uniform(15.0, 60.0)),
+                                   n_cells=int(rng.integers(16, 129)),
+                                   phi0=float(phi0), cfl=float(rng.uniform(0.1, 0.9)))
+            t_end = float(rng.uniform(5.0, 60.0))
+            snaps = evolve_advection_fd(setup, t_end, np.linspace(0.0, t_end, 9))
+            assert all(np.all(s.phi <= 0.0) for s in snaps)
+            assert all(s.x_grid is snaps[0].x_grid for s in snaps)
+            with pytest.raises(ValueError):
+                snaps[-1].x_grid[0] = 0.0
+
     def test_snapshot_contract(self):
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
         times = [0.0, 10.0, 20.0]

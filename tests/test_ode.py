@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from growthdyn import ode
 from growthdyn import (AutonomousSystem, NumericalError, StiffnessError,
                        Trajectory, ValidationError, integrate_adaptive,
                        integrate_fixed, interp_states)
@@ -145,6 +146,18 @@ class TestAdaptive:
         system = AutonomousSystem(1, lambda s: s * s)
         with pytest.raises(StiffnessError):
             integrate_adaptive(system, np.array([1.0]), 0.0, 2.0)
+
+    def test_step_budget_ends_a_long_run(self, monkeypatch):
+        # a rotation held to 1e-10 over ten periods takes hundreds of steps
+        monkeypatch.setattr(ode, "_MAX_STEPS", 50)
+        system = AutonomousSystem(2, lambda s: np.array([-s[1], s[0]]))
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="budget of 50 steps") as info:
+            integrate_adaptive(system, np.array([1.0, 0.0]), 0.0, 20 * math.pi,
+                               rel_tol=1e-10, abs_tol=1e-12)
+        assert time.perf_counter() - start < 0.1
+        assert not isinstance(info.value, StiffnessError)
+        assert "t1=" in str(info.value)
 
     def test_endpoint_is_exact(self):
         traj = integrate_adaptive(DECAY, np.array([1.0]), 0.0, 0.7345)
