@@ -2,7 +2,7 @@
 
 Every subcommand is a ``cmd_*(args)`` that validates its parameters,
 computes, and returns its plot-ready tables, each ``(name, curves, axes)``,
-plus a report dict whose values may be result records.  One driver then
+plus a report dict whose values may be result records.  ``_run`` then
 writes table ``name`` to ``PREFIX.FMT`` when the name is ``"plot"`` and to
 ``PREFIX_name.FMT`` otherwise, adds ``"<name>_file"`` to the report, writes
 the versioned JSON report ``PREFIX_report.json`` (``"schema": 1``, records
