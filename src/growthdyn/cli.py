@@ -277,6 +277,8 @@ def cmd_compete(args):
         raise ValidationError("--init takes 2 comma-separated values: phi1,phi2")
     if any(v <= 0 for v in init):
         raise ValidationError("--init values must be > 0 (extinct species stay extinct)")
+    # The table starts at t = 0: fail on an impossible log axis before integrating.
+    dataio._apply_axes("phi1", np.zeros(1), np.array(init[:1]), args.axes)
     t_end = args.t_end if args.t_end is not None else 50.0 / min(args.a1, args.a2)
     system = dynsys.competition_system(params)
     traj = integrate_adaptive(system, np.array(init), 0.0, t_end,
@@ -301,6 +303,10 @@ def cmd_pde(args):
                                   cfl=args.cfl)
     if not args.t_end > 0:
         raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
+    # The probe table starts at t = 0 with |phi| = phi0: fail on an impossible
+    # log axis before marching.
+    dataio._apply_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
+                       np.array([setup.phi0]), args.axes)
     snap_times = np.concatenate(
         ([0.0], np.geomspace(args.t_end * 1e-5, args.t_end, args.n_snapshots)))
     snapshots = fields.evolve_advection_fd(setup, args.t_end, snap_times)

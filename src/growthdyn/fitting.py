@@ -4,11 +4,11 @@ The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration on a
 transformed parameter vector: positivity-constrained parameters (rates,
 damping coefficients, initial levels) are optimized as their natural logs,
 while the power-law exponent stays linear.  Residuals are taken either in
-value space or in log space, per the problem's loss_space.  Eight starts are
-run — the caller's guess plus seven perturbations drawn from a fixed-seed
-generator — and the best converged final residual wins, so repeated calls on
-the same problem return identical results.  Parameter names, records and
-evaluation come from the family table in models, terminal levels from
+value space or in log space, per the problem's loss_space.  One descent runs
+per fit, from the lowest-cost point of a fixed lattice around the caller's
+guess, and stops when the parameters or the cost stop changing, so repeated
+calls on the same problem return identical results.  Parameter names, records
+and evaluation come from the family table in models, terminal levels from
 models.terminal_value.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
@@ -18,6 +18,7 @@ estimate (time to half the fitted terminal value).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,9 +37,8 @@ LOSS_LOG = "log"
 EXPONENTIAL = "exponential"
 INDETERMINATE = "indeterminate"
 
-_N_STARTS = 8
-_START_SEED = 12345
-_PERTURB_SCALE = 0.3
+_LATTICE_STEP = 1.5  # start lattice spacing, in transformed coordinates
+_EPS = float(np.finfo(float).eps)  # smallest relative cost change float64 resolves
 _LAMBDA_INIT = 1e-3
 _LAMBDA_CEIL = 1e12
 _R2_MARGIN = 0.02
@@ -107,7 +107,7 @@ class FitResult:
     params: tuple
     param_names: tuple
     rmse: float                      # root-mean-square residual in loss space
-    iterations: int                  # Gauss-Newton steps of the winning start
+    iterations: int                  # Levenberg-Marquardt steps of the descent
     converged: bool
     terminal_forecast: float | None  # None when the model is unbounded
     jacobian_condition: float
@@ -150,8 +150,6 @@ def _from_theta(theta, is_log):
 
 
 def _theta_bounds(bounds, is_log):
-    if bounds is None:
-        return None
     lo = np.empty(len(bounds))
     hi = np.empty(len(bounds))
     for i, ((b_lo, b_hi), lg) in enumerate(zip(bounds, is_log)):
@@ -207,17 +205,20 @@ def _fd_jacobian(residual, theta, is_log, r0):
     return jac
 
 
-def _lm_once(residual, theta0, is_log, t_bounds, tol, max_iter):
-    """One Levenberg-Marquardt run; returns (theta, cost, iters, converged, jac)."""
-    theta = theta0.copy()
-    if t_bounds is not None:
-        theta = np.clip(theta, t_bounds[0], t_bounds[1])
-    r = residual(theta, is_log)
+def _cost(r):
+    """Half the squared residual norm; inf for an unevaluable or overflowing point."""
     if r is None:
-        return theta, math.inf, 0, False, None
-    cost = 0.5 * float(r @ r)
+        return math.inf
+    with np.errstate(over="ignore"):
+        return 0.5 * float(r @ r)
+
+
+def _lm_once(residual, theta, r, is_log, t_bounds, tol, max_iter):
+    """Levenberg-Marquardt from theta, residual r; (theta, cost, iters, converged, jac)."""
+    cost = _cost(r)
+    if not math.isfinite(cost):
+        return theta, cost, 0, False, None
     lam = _LAMBDA_INIT
-    jac = None
     for it in range(1, max_iter + 1):
         jac = _fd_jacobian(residual, theta, is_log, r)
         if jac is None:
@@ -226,32 +227,31 @@ def _lm_once(residual, theta0, is_log, t_bounds, tol, max_iter):
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(1e-30, float(diag.max(initial=0.0)) * 1e-15)
-        accepted = False
         while lam <= _LAMBDA_CEIL:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = theta + step
-            if t_bounds is not None:
-                trial = np.clip(trial, t_bounds[0], t_bounds[1])
+            trial = np.clip(theta + step, t_bounds[0], t_bounds[1])
             r_trial = residual(trial, is_log)
-            if r_trial is not None:
-                cost_trial = 0.5 * float(r_trial @ r_trial)
-                if math.isfinite(cost_trial) and cost_trial <= cost:
-                    step_rel = float(np.linalg.norm(trial - theta)) / (
-                        1.0 + float(np.linalg.norm(theta)))
-                    theta, r, cost = trial, r_trial, cost_trial
-                    lam = max(lam / 3.0, 1e-14)
-                    accepted = True
-                    grad_new = jac.T @ r
-                    if (step_rel <= tol
-                            and float(np.max(np.abs(grad_new))) <= tol * max(1.0, cost)):
-                        return theta, cost, it, True, jac
-                    break
+            cost_trial = _cost(r_trial)
+            if cost_trial <= cost:
+                step = trial - theta
+                # Moré's stop: actual and predicted cost reductions both within
+                # tol**2 of the cost (it is quadratic in the parameter error), or
+                # within float64 resolution where tol**2 is below it.
+                predicted = -float(grad @ step + 0.5 * step @ jtj @ step)
+                small = max(cost - cost_trial, predicted) <= max(tol * tol, _EPS) * cost
+                step_rel = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(theta)))
+                theta, r, cost = trial, r_trial, cost_trial
+                lam = max(lam / 3.0, 1e-14)
+                if small or (step_rel <= tol and float(np.max(np.abs(jac.T @ r)))
+                             <= tol * max(1.0, cost)):
+                    return theta, cost, it, True, jac
+                break
             lam *= 10.0
-        if not accepted:
+        else:
             # Damping exhausted: the iterate is a stationary point within
             # floating-point resolution.  Call it converged if the gradient
             # agrees, otherwise report failure.
@@ -261,12 +261,18 @@ def _lm_once(residual, theta0, is_log, t_bounds, tol, max_iter):
 
 
 def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResult:
-    """Estimate model parameters by multi-start damped Gauss-Newton.
+    """Estimate model parameters by one Levenberg-Marquardt descent.
 
-    Convergence requires both the relative parameter update and the gradient
-    norm to fall below tol.  All starts failing raises NonConvergenceError
-    whose ``best`` attribute carries the lowest-cost attempt; a constant
-    series raises RankDeficiencyError up front.
+    The descent starts from the lowest-cost point of the lattice
+    guess + 1.5*{0, -1, 1}^n in the optimized coordinates (logs of positive
+    parameters), clipped to the bounds; the guess itself wins ties.  It
+    converges when the relative parameter update and the gradient both fall
+    below tol, or when an accepted step cuts the cost by at most
+    max(tol**2, float64 epsilon) relative, both actually and as linearized
+    (the stop for data at its noise floor).  Otherwise NonConvergenceError
+    carries the last iterate as ``best``; a constant series raises
+    RankDeficiencyError up front.  For the logistic family with alpha = 0
+    the model is phi0*exp((a - b) t): only a - b and phi0 are identifiable.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -279,37 +285,25 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
 
     is_log = _theta_is_log(problem.model)
     residual = _residual_fn(problem)
-    t_bounds = _theta_bounds(problem.bounds, is_log)
+    unbounded = ((-math.inf, math.inf),) * len(is_log)
+    t_bounds = _theta_bounds(problem.bounds or unbounded, is_log)
     theta0 = _to_theta(problem.initial_guess, is_log)
-    rng = np.random.default_rng(_START_SEED)
-
-    best = None  # (cost, theta, iters, converged, jac)
-    best_any = None
-    for start in range(_N_STARTS):
-        theta_start = theta0 if start == 0 else theta0 + rng.normal(
-            0.0, _PERTURB_SCALE, size=theta0.size)
-        theta, cost, iters, converged, jac = _lm_once(
-            residual, theta_start, is_log, t_bounds, tol, max_iter)
-        candidate = (cost, theta, iters, converged, jac)
-        if best_any is None or cost < best_any[0] - 1e-12 * max(1.0, best_any[0]):
-            best_any = candidate
-        if converged and (best is None
-                          or cost < best[0] - 1e-12 * max(1.0, best[0])):
-            best = candidate
-
-    chosen = best if best is not None else best_any
-    cost, theta, iters, converged, jac = chosen
+    lattice = []  # (cost, theta, r); the zero offset first, so min keeps the guess on ties
+    for offset in itertools.product((0.0, -1.0, 1.0), repeat=theta0.size):
+        theta = np.clip(theta0 + _LATTICE_STEP * np.array(offset), t_bounds[0], t_bounds[1])
+        r = residual(theta, is_log)
+        lattice.append((_cost(r), theta, r))
+    _, theta, r = min(lattice, key=lambda point: point[0])
+    theta, cost, iters, converged, jac = _lm_once(
+        residual, theta, r, is_log, t_bounds, tol, max_iter)
     params = _from_theta(theta, is_log)
     try:
         forecast = _terminal_forecast(make_record(problem.model, params, problem.alpha))
-    except ParameterError:
-        forecast = None  # no start could be evaluated: the clipped guess is not a model
-    n_res = len(problem.series)
-    rmse = math.sqrt(2.0 * cost / n_res) if math.isfinite(cost) else math.inf
-    if jac is not None and np.all(np.isfinite(jac)):
-        condition = float(np.linalg.cond(jac))
-    else:
-        condition = math.inf
+    except (ParameterError, OverflowError):
+        forecast = None  # no lattice point could be evaluated: the guess is not a model
+    rmse = math.sqrt(2.0 * cost / len(problem.series)) if math.isfinite(cost) else math.inf
+    condition = (float(np.linalg.cond(jac))
+                 if jac is not None and np.all(np.isfinite(jac)) else math.inf)
     result = FitResult(
         params=params,
         param_names=fitted_names(problem.model),
@@ -322,10 +316,10 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         loss_space=problem.loss_space,
         alpha=problem.alpha if problem.model == LOGISTIC_FAMILY else None,
     )
-    if best is None:
+    if not converged:
         raise NonConvergenceError(
-            f"no start converged within {max_iter} iterations "
-            f"(best rmse {rmse:.3e})", best=result)
+            f"fit did not converge within {max_iter} iterations "
+            f"(rmse {rmse:.3e})", best=result)
     return result
 
 

@@ -152,19 +152,32 @@ def _as_times(t):
 def eval_power_law(params: PowerLawParams, t):
     """Evaluate a*t**beta.  t may be a scalar or an array, t >= 0.
 
-    t = 0 with beta < 0 is rejected (the value would diverge).
+    t = 0 with beta < 0 is rejected (the value would diverge), and so is a
+    value outside float64 range.
     """
     arr, scalar = _as_times(t)
     if params.beta < 0 and np.any(arr == 0):
         raise DomainError("t = 0 with beta < 0 diverges")
-    out = params.a * np.power(arr, params.beta)
+    with np.errstate(over="ignore"):
+        out = params.a * np.power(arr, params.beta)
+    if np.isinf(out).any():
+        raise DomainError(
+            f"power law leaves float64 range: a={params.a!r}, beta={params.beta!r}")
     return float(out) if scalar else out
 
 
 def eval_saturating_linear(params: SaturatingLinearParams, t):
-    """Evaluate (a/b)*(1 - exp(-b t)); monotone, bounded above by a/b."""
+    """Evaluate (a/b)*(1 - exp(-b t)); monotone, bounded above by a/b.
+
+    A level a/b outside float64 range raises DomainError.  Past b t = 700 the
+    exponential is below float64 resolution, so t is capped there and b t
+    cannot overflow.
+    """
     arr, scalar = _as_times(t)
-    out = -(params.a / params.b) * np.expm1(-params.b * arr)
+    a, b = params.a, params.b
+    if not a / b <= _FLOAT_MAX:
+        raise DomainError(f"saturating level a/b leaves float64 range: a={a!r}, b={b!r}")
+    out = -(a / b) * np.expm1(-b * np.minimum(arr, _EXP_MAX / b))
     return float(out) if scalar else out
 
 

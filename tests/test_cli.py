@@ -328,6 +328,20 @@ class TestCompete:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("axes", ["log-x", "log-log"])
+    def test_log_x_rejected_before_integrating(self, tmp_path, capsys,
+                                               monkeypatch, axes):
+        # the table starts at t = 0, so no run could be drawn on a log-x axis
+        def never(*args, **kwargs):
+            raise AssertionError("integrated despite an impossible axis")
+        monkeypatch.setattr(cli, "integrate_adaptive", never)
+        code = main(["compete", "--a1", "1", "--a2", "1.5", "--d1", "0.5",
+                     "--d2", "1", "--b", "2", "--c", "1", "--axes", axes,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "non-positive abscissa 0.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPde:
     def test_small_run_artifacts(self, tmp_path, capsys):
@@ -349,6 +363,30 @@ class TestPde:
     def test_bad_t_end_exit_2(self, tmp_path, capsys):
         code = main(["pde", "--t-end", "-1", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("axes,phi0,message", [
+        ("log-x", "0.5", "non-positive abscissa 0.0"),
+        ("log-log", "0.5", "non-positive abscissa 0.0"),
+        ("log-y", "0", "non-positive value 0.0"),
+    ])
+    def test_impossible_log_axis_rejected_before_marching(
+            self, tmp_path, capsys, monkeypatch, axes, phi0, message):
+        # snapshots start at t = 0, where |phi| is the initial level phi0
+        def never(*args, **kwargs):
+            raise AssertionError("marched despite an impossible axis")
+        monkeypatch.setattr(cli.fields, "evolve_advection_fd", never)
+        code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "50",
+                     "--probe-x", "5,10", "--phi0", phi0, "--axes", axes,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_y_allowed_with_positive_start(self, tmp_path, capsys):
+        code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "50",
+                     "--n-snapshots", "10", "--probe-x", "10", "--phi0", "0.3",
+                     "--axes", "log-y", "--out-dir", str(tmp_path)])
+        assert code == 0
 
 
 class TestClassifyEarly:

@@ -4,11 +4,13 @@ Recovery targets are exact because every synthetic dataset below is generated
 from the same closed forms the optimizer fits; the noisy-data medians live in
 the acceptance suite.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from growthdyn import models
 from growthdyn import (EXPONENTIAL, INDETERMINATE, KIND_GENERIC,
                        LOGISTIC_FAMILY, LOSS_LINEAR, LOSS_LOG, POWER_LAW,
                        SATURATING_LINEAR, DomainError, FitProblem, FitResult,
@@ -178,6 +180,63 @@ class TestFitFailureModes:
         problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1.0, 1.0))
         with pytest.raises(ValidationError):
             fit(problem, tol=0.0)
+
+    def test_overflowing_cost_is_infinite_without_warning(self):
+        # residuals near 1e160 square past float64: the cost is inf, not a warning
+        t = np.linspace(1.0, 10.0, 20)
+        problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1e160, 1.0))
+        with pytest.raises(NonConvergenceError) as info:
+            fit(problem)
+        assert info.value.best.rmse == math.inf
+
+    def test_overflowing_guess_record_has_no_forecast(self):
+        # b*phi0**alpha overflows in the guess's record: still NonConvergenceError
+        t = np.linspace(0.0, 8.0, 50)
+        problem = FitProblem(_series(t, 5.0 / (1.0 + 4.0 * np.exp(-t))),
+                             LOGISTIC_FAMILY, (1e300, 1e-300, 1e300), alpha=2)
+        with pytest.raises(NonConvergenceError) as info:
+            fit(problem)
+        assert info.value.best.terminal_forecast is None
+
+
+class TestStartAndStop:
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_far_guesses_recover_truth(self, alpha):
+        # guesses off by a factor e**1 .. e**2 in every sign pattern
+        truth = (1.0, 1.0 / 10.0 ** alpha, 0.2)  # a = 1, K = 10, phi0 = 0.2
+        series = _logistic_series(*truth[:2], alpha=alpha, phi0=truth[2],
+                                  n=60, t_max=7.0)
+        for distance in (1.0, 1.5, 2.0):
+            for signs in itertools.product((-1.0, 1.0), repeat=3):
+                guess = tuple(p * math.exp(distance * s) for p, s in zip(truth, signs))
+                result = fit(FitProblem(series, LOGISTIC_FAMILY, guess, alpha=alpha))
+                assert result.params == pytest.approx(truth, rel=1e-6), guess
+
+    def test_evaluation_budget(self, monkeypatch):
+        # one descent, stopped once the cost no longer falls: at most 150
+        # model evaluations per fit on 1%-noise logistic data
+        calls = []
+        evaluate = models.eval_logistic_family
+        monkeypatch.setattr(models, "eval_logistic_family",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        t = np.linspace(0.0, 3.0, 90)
+        clean = evaluate(GeneralizedLogisticParams(a=5.0, b=1.0, alpha=1, phi0=1.0), t)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            noisy = clean * (1.0 + 0.01 * rng.standard_normal(t.size))
+            calls.clear()
+            result = fit(FitProblem(_series(t, noisy), LOGISTIC_FAMILY, (3.0, 2.0, 0.5)))
+            assert result.converged
+            assert 0 < len(calls) <= 150
+
+    def test_alpha0_fits_only_the_rate_difference(self):
+        # phi0*exp((a - b) t): a and b alone are not identifiable, a - b is
+        series = _logistic_series(a=2.0, b=0.7, alpha=0, phi0=0.5)
+        result = fit(FitProblem(series, LOGISTIC_FAMILY, (1.0, 1.0, 0.5), alpha=0))
+        a, b, phi0 = result.params
+        assert result.converged
+        assert a - b == pytest.approx(1.3, rel=1e-6)
+        assert phi0 == pytest.approx(0.5, rel=1e-6)
 
 
 class TestEarlyGrowthClassifier:

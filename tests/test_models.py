@@ -51,6 +51,12 @@ class TestPowerLaw:
         with pytest.raises(DomainError):
             eval_power_law(PowerLawParams(a=1, beta=-0.5), 0.0)
 
+    @pytest.mark.parametrize("a, beta", [(1e300, 2.0), (1e-10, 40.0)])
+    def test_value_outside_float64_raises(self, a, beta):
+        # the product or t**beta alone overflows: an error, not inf and a warning
+        with pytest.raises(DomainError):
+            eval_power_law(PowerLawParams(a=a, beta=beta), np.array([1.0, 1e10]))
+
     @pytest.mark.parametrize("a, beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf)])
     def test_bad_params(self, a, beta):
         with pytest.raises(ParameterError):
@@ -101,6 +107,21 @@ class TestSaturatingLinear:
         traj = integrate_fixed(system, np.array([0.0]), 0.0, 12.0, 0.002)
         closed = eval_saturating_linear(p, traj.times)
         np.testing.assert_allclose(traj.states[:, 0], closed, rtol=1e-6, atol=1e-12)
+
+    def test_level_outside_float64_raises(self):
+        # a/b overflows: inf * expm1(0) would be NaN with a numpy warning
+        with pytest.raises(DomainError):
+            eval_saturating_linear(SaturatingLinearParams(a=1e300, b=1e-300),
+                                   np.array([0.0, 1.0]))
+
+    def test_huge_rate_saturates_without_overflow(self):
+        # b*t overflows float64, but the value is the level a/b within resolution
+        p = SaturatingLinearParams(a=1.0, b=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = eval_saturating_linear(p, np.array([0.0, 1.0, 1e9]))
+        assert phi[0] == 0.0
+        assert phi[1] == phi[2] == 1e-300
 
 
 class TestLogisticFamily:
