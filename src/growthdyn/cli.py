@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -216,8 +217,8 @@ def _default_guess(model: str, series: dataio.TimeSeries):
 def cmd_fit(args):
     series = _load_series(args)
     # Fail on incompatible log axes before any fitting work happens.
-    dataio._apply_axes(series.label or "data", series.times, series.values,
-                       args.axes)
+    dataio.check_log_axes(series.label or "data", series.times, series.values,
+                          args.axes)
     model = _CLI_TO_FIT_MODEL[args.model]
     guess = tuple(args.guess) if args.guess else _default_guess(model, series)
     problem = fitting.FitProblem(series=series, model=model,
@@ -278,7 +279,7 @@ def cmd_compete(args):
     if any(v <= 0 for v in init):
         raise ValidationError("--init values must be > 0 (extinct species stay extinct)")
     # The table starts at t = 0: fail on an impossible log axis before integrating.
-    dataio._apply_axes("phi1", np.zeros(1), np.array(init[:1]), args.axes)
+    dataio.check_log_axes("phi1", np.zeros(1), np.array(init[:1]), args.axes)
     t_end = args.t_end if args.t_end is not None else 50.0 / min(args.a1, args.a2)
     system = dynsys.competition_system(params)
     traj = integrate_adaptive(system, np.array(init), 0.0, t_end,
@@ -305,8 +306,8 @@ def cmd_pde(args):
         raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
     # The probe table starts at t = 0 with |phi| = phi0: fail on an impossible
     # log axis before marching.
-    dataio._apply_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
-                       np.array([setup.phi0]), args.axes)
+    dataio.check_log_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
+                          np.array([setup.phi0]), args.axes)
     snap_times = np.concatenate(
         ([0.0], np.geomspace(args.t_end * 1e-5, args.t_end, args.n_snapshots)))
     snapshots = fields.evolve_advection_fd(setup, args.t_end, snap_times)
@@ -517,11 +518,16 @@ def _apply_config(argv: list) -> list:
     return list(argv) + _read_config_tokens(known.config)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one build serves every main().
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config(argv))
+        args = _parser().parse_args(_apply_config(argv))
         return _run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

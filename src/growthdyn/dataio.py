@@ -1,10 +1,15 @@
 """Time-series ingestion, the cumulative transform, and plot-ready output.
 
 CSV input is two numeric columns (time, value) with an optional single header
-line, comma delimiter, dot decimal separator.  Emitted plot files use log
-base 10 whenever a log axis is requested; model math elsewhere in the package
-works in natural logs.  Floats are written with repr(), i.e. the shortest
-decimal that round-trips, so emitting and re-reading a series is lossless.
+line, comma delimiter, dot decimal separator.  numpy's ``loadtxt`` reads the
+columns in one call; a line-by-line ``csv`` pass runs only when that fails,
+to name the faulty line (or to accept a cell that ``float`` takes and numpy
+does not, such as ``1_000``).  Emitted plot files use log base 10 whenever a
+log axis is requested; model math elsewhere in the package works in natural
+logs.  Floats are written with repr(), i.e. the shortest decimal that
+round-trips, so emitting and re-reading a series is lossless.  Writers stream
+fixed blocks of rows, never a whole file in memory.  A JSON plot file is laid
+out exactly as ``json.dump(payload, indent=2, sort_keys=True)`` lays it out.
 
 Times are plain floats.  Gaps in the time grid are allowed (only strict
 monotonicity is enforced) and cumulate() sums the observations exactly as
@@ -16,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,10 @@ FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 
 _JSON_SCHEMA_VERSION = 1
+# Rows (csv) or array items (json) formatted per write.
+_BLOCK_ROWS = 1024
+_JSON_ITEM_SEP = ",\n" + 8 * " "
+_NON_BLANK = re.compile(r"\S")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +76,7 @@ class TimeSeries:
             raise ValidationError("a series needs at least one sample")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
             raise ValidationError("times and values must be finite")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):  # np.diff would overflow near ±1e308
             raise ValidationError("times must be strictly increasing")
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
@@ -98,6 +108,39 @@ def read_csv(source, time_col: int = 0, value_col: int = 1, label: str = "",
         except OSError as exc:
             raise DataIOError(f"cannot read {origin}: {exc}") from exc
 
+    if min(time_col, value_col) >= 0:  # negative indices: the row pass only
+        try:
+            return TimeSeries(*_load_columns(text, time_col, value_col),
+                              label=label, kind=kind)
+        except (ValueError, OverflowError, ValidationError):
+            pass  # the row pass below gives the verdict and its line number
+    return _read_rows(text, origin, time_col, value_col, label, kind)
+
+
+def _load_columns(text, time_col, value_col):
+    """Both columns in one np.loadtxt call, line 1 skipped by _read_rows' rule."""
+    buf = io.StringIO(text)
+    first = next(csv.reader(buf), [])
+    if len(first) <= max(time_col, value_col) or (
+            _is_number(first[time_col]) and _is_number(first[value_col])):
+        buf.seek(0)  # not a header line
+    if _NON_BLANK.search(text, buf.tell()) is None:
+        raise ValueError("no data rows")  # loadtxt would only warn
+    cols = np.loadtxt(buf, delimiter=",", usecols=(time_col, value_col),
+                      comments=None, quotechar='"', ndmin=2)
+    return np.ascontiguousarray(cols[:, 0]), np.ascontiguousarray(cols[:, 1])
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_rows(text, origin, time_col, value_col, label, kind):
+    """Row-by-row parse that names the first faulty line."""
     times: list[float] = []
     values: list[float] = []
     needed = max(time_col, value_col) + 1
@@ -162,22 +205,23 @@ def _coerce_series(entry, index):
     return str(label) or f"series{index}", x, y
 
 
+def check_log_axes(label, x, y, axes):
+    """Raise LogAxisError if a log axis of ``axes`` would get a value <= 0."""
+    for log_on, name, what, v in (
+            (axes in (AXES_LOG_X, AXES_LOG_LOG), "log-x", "abscissa", x),
+            (axes in (AXES_LOG_Y, AXES_LOG_LOG), "log-y", "value", y)):
+        bad = np.flatnonzero(v <= 0) if log_on else ()
+        if len(bad):
+            raise LogAxisError(
+                f"{name} axis: series {label!r} has non-positive {what} "
+                f"{float(v[bad[0]])!r} at index {int(bad[0])}")
+
+
 def _apply_axes(label, x, y, axes):
-    log_x = axes in (AXES_LOG_X, AXES_LOG_LOG)
-    log_y = axes in (AXES_LOG_Y, AXES_LOG_LOG)
-    if log_x:
-        bad = np.where(x <= 0)[0]
-        if bad.size:
-            raise LogAxisError(
-                f"log-x axis: series {label!r} has non-positive abscissa "
-                f"{float(x[bad[0]])!r} at index {int(bad[0])}")
+    check_log_axes(label, x, y, axes)
+    if axes in (AXES_LOG_X, AXES_LOG_LOG):
         x = np.log10(x)
-    if log_y:
-        bad = np.where(y <= 0)[0]
-        if bad.size:
-            raise LogAxisError(
-                f"log-y axis: series {label!r} has non-positive value "
-                f"{float(y[bad[0]])!r} at index {int(bad[0])}")
+    if axes in (AXES_LOG_Y, AXES_LOG_LOG):
         y = np.log10(y)
     return x, y
 
@@ -200,26 +244,45 @@ def emit_plot_series(series, axes: str, out, format: str = FORMAT_CSV) -> None:
     transformed = [(label,) + _apply_axes(label, x, y, axes)
                    for label, x, y in entries]
 
+    write = _write_json if format == FORMAT_JSON else _write_csv
     if hasattr(out, "write"):
-        _write_payload(transformed, axes, out, format)
+        write(transformed, axes, out)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_payload(transformed, axes, fh, format)
+            write(transformed, axes, fh)
 
 
-def _write_payload(transformed, axes, fh, format):
-    x_name = "log10_t" if axes in (AXES_LOG_X, AXES_LOG_LOG) else "t"
-    if format == FORMAT_JSON:
-        payload = {
-            "schema": _JSON_SCHEMA_VERSION,
-            "axes": axes,
-            "series": [{"label": label, "x": x.tolist(), "y": y.tolist()}
-                       for label, x, y in transformed],
-        }
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(transformed, axes, fh):
+    """The json.dump(indent=2, sort_keys=True) layout, arrays encoded in blocks."""
+    fh.write(f'{{\n  "axes": {json.dumps(axes)},\n'
+             f'  "schema": {_JSON_SCHEMA_VERSION},\n  "series": [')
+    x_key = x_text = None
+    for i, (label, x, y) in enumerate(transformed):
+        fh.write(f'{"," if i else ""}\n    {{\n      "label": {json.dumps(label)},'
+                 f'\n      "x": ')
+        key = x.tobytes()
+        if key != x_key:  # series on one abscissa share its text
+            x_key, x_text = key, "".join(_json_array(x))
+        fh.write(x_text + ',\n      "y": ')
+        fh.writelines(_json_array(y))
+        fh.write("\n    }")
+    fh.write("\n  ]\n}\n")
+
+
+def _json_array(values):
+    if not values.size:
+        yield "[]"
         return
+    # The C encoder spells floats as json.dump does (repr, NaN, Infinity).
+    for start in range(0, values.size, _BLOCK_ROWS):
+        block = json.dumps(values[start:start + _BLOCK_ROWS].tolist(),
+                           separators=(_JSON_ITEM_SEP, ": "))
+        yield (_JSON_ITEM_SEP if start else "[\n        ") + block[1:-1]
+    yield "\n      ]"
 
+
+def _write_csv(transformed, axes, fh):
+    x_name = "log10_t" if axes in (AXES_LOG_X, AXES_LOG_LOG) else "t"
     # Group consecutive series that share an abscissa behind one x column.
     groups = []
     for label, x, y in transformed:
@@ -231,15 +294,16 @@ def _write_payload(transformed, axes, fh, format):
     for gi, (x, members) in enumerate(groups):
         header.append(x_name if len(groups) == 1 else f"{x_name}{gi}")
         header.extend(label for label, _ in members)
+    csv.writer(fh, lineterminator="\n").writerow(header)  # quotes labels
     n_rows = max(x.size for x, _ in groups)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(n_rows):
-        row = []
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        parts = []
         for x, members in groups:
-            if i < x.size:
-                row.append(repr(float(x[i])))
-                row.extend(repr(float(y[i])) for _, y in members)
-            else:
-                row.extend([""] * (1 + len(members)))
-        writer.writerow(row)
+            columns = [x] + [y for _, y in members]
+            rows = list(map(",".join, zip(*(map(repr, c[start:stop].tolist())
+                                            for c in columns))))
+            # A group that has run out of rows pads with empty cells.
+            rows += ["," * len(members)] * (stop - start - len(rows))
+            parts.append(rows)
+        fh.write("\n".join(map(",".join, zip(*parts))) + "\n")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from growthdyn import cli
+from growthdyn import cli, models
 from growthdyn.cli import OUT_DIR_ENV, main
 
 
@@ -168,6 +168,63 @@ class TestSimulate:
             outputs.append((open(plot_line, "rb").read(),
                             open(report_line, "rb").read()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("plot_format, axes", [("csv", "linear"),
+                                                   ("json", "log-log")])
+    def test_plot_file_rereads_as_model_values(self, tmp_path, capsys,
+                                               plot_format, axes):
+        # The benchmark oracle's check: re-read columns equal the model bit
+        # for bit, over more rows than one write block.
+        code = main(["simulate", "--model", "saturating", "--a", "1.5,2",
+                     "--b", "0.3", "--points", "2500", "--t-max", "25",
+                     "--axes", axes, "--plot-format", plot_format,
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        plot_line, report_line = capsys.readouterr().out.splitlines()
+        grid = _read_report(report_line)["grid"]
+        if axes == "log-log":
+            times = np.geomspace(grid["t_min"], grid["t_max"], grid["points"])
+        else:
+            times = np.linspace(grid["t_min"], grid["t_max"], grid["points"])
+        expected = []
+        for a in (1.5, 2.0):
+            y = models.evaluate(models.SaturatingLinearParams(a=a, b=0.3), times)
+            x = times
+            if axes == "log-log":
+                x, y = np.log10(times), np.log10(y)
+            expected.append((f"a={a:g}", x.tolist(), y.tolist()))
+        if plot_format == "json":
+            payload = _read_report(plot_line)
+            got = [(s["label"], s["x"], s["y"]) for s in payload["series"]]
+        else:
+            header, rows = _read_table(plot_line)
+            columns = [[float(r[k]) for r in rows] for k in range(len(header))]
+            got = [(label, columns[0], columns[k + 1])
+                   for k, label in enumerate(header[1:])]
+        assert got == expected
+
+    def test_interleaved_runs_match_fresh_processes(self, tmp_path, capsys):
+        # main() reuses one parser; a run must not see an earlier run's flags.
+        runs = {"plain": ["simulate", "--model", "logistic", "--points", "7"],
+                "fanned": ["simulate", "--model", "logistic", "--a", "2,3",
+                           "--alpha", "1,2", "--points", "7"],
+                "analyze": ["analyze"],
+                "rates": ["analyze", "--rates=1.5,1,0.5,1,1.2,0.4",
+                          "--guess=1.5,1.5"]}
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        for name in ["plain", "fanned", "analyze", "rates", "plain", "analyze"]:
+            assert main(runs[name] + ["--out-dir", str(tmp_path / "in" / name),
+                                      "--prefix", name]) == 0
+        capsys.readouterr()
+        for name, argv in runs.items():
+            fresh = tmp_path / "fresh" / name
+            subprocess.run([sys.executable, "-m", "growthdyn", *argv,
+                            "--out-dir", str(fresh), "--prefix", name],
+                           check=True, capture_output=True)
+            assert outputs(tmp_path / "in" / name) == outputs(fresh)
 
     def test_prefix_names_files(self, tmp_path, capsys):
         code = main(["simulate", "--model", "power", "--points", "5",

@@ -1,10 +1,14 @@
 """Series container, CSV ingestion, accumulation, and plot-table emission."""
+import csv
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+from growthdyn import dataio
 from growthdyn import (AXES_LINEAR, AXES_LOG_LOG, AXES_LOG_X, AXES_LOG_Y,
                        FORMAT_CSV, FORMAT_JSON, KIND_ANNUAL, KIND_CUMULATIVE,
                        KIND_GENERIC, DataIOError, LogAxisError, TimeSeries,
@@ -25,6 +29,13 @@ class TestTimeSeries:
             TimeSeries([1, 3, 2], [1, 1, 1])
         with pytest.raises(ValidationError):
             TimeSeries([1, 1, 2], [1, 1, 1])
+
+    def test_extreme_times_order_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(TimeSeries([-1e308, 1e308], [1, 2])) == 2
+            with pytest.raises(ValidationError):
+                TimeSeries([1e308, -1e308], [1, 2])
 
     def test_finite_required(self):
         with pytest.raises(ValidationError):
@@ -234,3 +245,286 @@ class TestEmitPlotSeries:
     def test_bad_entry_type(self):
         with pytest.raises(ValidationError):
             emit_plot_series([42], AXES_LINEAR, io.StringIO())
+
+# Pinned results of the reader, one case per rule: (text, (times, values)) on
+# success, (text, message) on failure.  A StringIO has no name, so every
+# message starts with "<stream>".
+READ_CASES = [
+    # a one-column header is a short row, not a header line
+    ("time\n1,2\n3,4\n", "<stream>, line 1: expected at least 2 columns, got 1"),
+    ("#c\n1,2\n", "<stream>, line 1: expected at least 2 columns, got 1"),
+    ("t,v\n1,2\n3\n", "<stream>, line 3: expected at least 2 columns, got 1"),
+    # header-only, empty and blank input
+    ("year,count\n", "<stream>: no data rows"),
+    ("", "<stream>: no data rows"),
+    ("\n\n", "<stream>: no data rows"),
+    ("year,count\n\n  \n", "<stream>: no data rows"),
+    # only the first line may be a header; a blank line before it counts
+    ("\nyear,count\n1,2\n",
+     "<stream>, line 2: could not parse 'year', 'count' as numbers"),
+    ("a,b\nc,d\n", "<stream>, line 2: could not parse 'c', 'd' as numbers"),
+    ("t,v\n1,2\n2,x\n", "<stream>, line 3: could not parse '2', 'x' as numbers"),
+    # a quoted newline makes one row of two lines; rows are numbered
+    ('1,2\n"3\n",4\n5,x\n',
+     "<stream>, line 3: could not parse '5', 'x' as numbers"),
+    # blank and whitespace-only lines are skipped
+    ("1,2\n\n   \n , \n\t,\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ('"1","2"\n3,"4.5"\n', ([1.0, 3.0], [2.0, 4.5])),
+    ("1,2,x\n3,4,y,z\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("t,v\n1_000,2\n2_000,3\n", ([1000.0, 2000.0], [2.0, 3.0])),
+    ("t,v\r\n1,2\r\n3,4\r\n", ([1.0, 3.0], [2.0, 4.0])),
+    (" 1 , 2 \n\xa03,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ('1,2\n"3\n",4\n', ([1.0, 3.0], [2.0, 4.0])),
+    # non-finite cells, overflow included
+    ("t,v\n1,2\nnan,3\n", "<stream>, line 3: non-finite value"),
+    ("1,2\n\n2,inf\n", "<stream>, line 3: non-finite value"),
+    ("1,2\n3,4e400\n", "<stream>, line 2: non-finite value"),
+    # time order, with blank lines counted
+    ("t,v\n1,2\n\n1,3\n", "<stream>, line 4: duplicate time 1.0"),
+    ("t,v\n1,2\n3,4\n\n2,5\n",
+     "<stream>, line 5: non-monotone time 2.0 after 3.0"),
+    ("t,v\n1,2\n2,-1\n", "<stream>: annual series must be non-negative; "
+                         "first offender at index 1"),
+]
+
+
+class TestReadCsvEquivalence:
+    @pytest.mark.parametrize("text, expected", READ_CASES)
+    def test_pinned_result(self, text, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(DataIOError) as info:
+                    read_csv(io.StringIO(text))
+                assert str(info.value) == expected
+            else:
+                s = read_csv(io.StringIO(text))
+                assert s.times.tolist() == expected[0]
+                assert s.values.tolist() == expected[1]
+
+    def test_column_pick_from_wide_rows(self):
+        s = read_csv(io.StringIO("a,b,c\n1,2,3\n4,5,6\n"), time_col=2,
+                     value_col=0)
+        assert s.times.tolist() == [3.0, 6.0]
+        assert s.values.tolist() == [1.0, 4.0]
+
+    def test_negative_column_counts_from_the_row_end(self):
+        s = read_csv(io.StringIO("a,b,c\n1,2,3\n4,5,6,7\n"), time_col=-1,
+                     value_col=0)
+        assert s.times.tolist() == [3.0, 7.0]
+        assert s.values.tolist() == [1.0, 4.0]
+
+    def test_same_column_twice(self):
+        s = read_csv(io.StringIO("1,x\n2,y\n"), time_col=0, value_col=0)
+        assert s.values.tolist() == [1.0, 2.0]
+
+    def test_short_header_for_a_far_column(self):
+        with pytest.raises(DataIOError) as info:
+            read_csv(io.StringIO("t,v\n1,2,3\n"), value_col=2)
+        assert str(info.value) == \
+            "<stream>, line 1: expected at least 3 columns, got 2"
+
+    def test_column_index_past_any_row(self):
+        with pytest.raises(DataIOError) as info:
+            read_csv(io.StringIO("1,2\n3,4\n"), time_col=2 ** 63)
+        assert str(info.value) == "<stream>, line 1: expected at least " \
+            "9223372036854775809 columns, got 2"
+
+    def test_30k_rows_bit_identical_to_float(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 30_000
+        steps = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-3, 3, n)
+        times = [repr(t) for t in np.cumsum(steps).tolist()]
+        digits = rng.integers(0, 10, (n, 17))
+        values = ["".join(map(str, d[:1])) + "." + "".join(map(str, d[1:k]))
+                  + f"e{e:+d}"
+                  for d, k, e in zip(digits, rng.integers(2, 18, n),
+                                     rng.integers(-320, 308, n))]
+        plain = rng.uniform(0, 1e6, len(values[::7])).tolist()
+        values[::7] = [repr(v) for v in plain]
+        path = tmp_path / "wide.csv"
+        path.write_text("time,value\n" + "".join(
+            f"{t},{v}\n" for t, v in zip(times, values)))
+        s = read_csv(path)
+        want_t = np.array([float(t) for t in times])
+        want_v = np.array([float(v) for v in values])
+        assert s.times.flags.c_contiguous and s.values.flags.c_contiguous
+        np.testing.assert_array_equal(s.times.view(np.uint64),
+                                      want_t.view(np.uint64))
+        np.testing.assert_array_equal(s.values.view(np.uint64),
+                                      want_v.view(np.uint64))
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Two abscissa groups, the second ragged past the first; labels with a comma,
+# a quote and a non-ASCII character; every float corner case; one empty series.
+GOLDEN_SERIES = [
+    ("a=1,b=2", [0.0, 0.5, 1.0], [NAN, INF, -INF]),
+    ('say "hi"', [0.0, 0.5, 1.0], [-0.0, 5e-324, 1e308]),
+    ("température", [-1.0, 1e-300, 2.0, 3.0, 4.0],
+     [0.1, -2.5, 1.0 / 3.0, 7.0, 1e22]),
+    ("empty", [], []),
+]
+
+GOLDEN_CSV = (
+    't0,"a=1,b=2","say ""hi""",t1,température,t2,empty\n'
+    "0.0,nan,-0.0,-1.0,0.1,,\n"
+    "0.5,inf,5e-324,1e-300,-2.5,,\n"
+    "1.0,-inf,1e+308,2.0,0.3333333333333333,,\n"
+    ",,,3.0,7.0,,\n"
+    ",,,4.0,1e+22,,\n")
+
+GOLDEN_JSON = """\
+{
+  "axes": "linear",
+  "schema": 1,
+  "series": [
+    {
+      "label": "a=1,b=2",
+      "x": [
+        0.0,
+        0.5,
+        1.0
+      ],
+      "y": [
+        NaN,
+        Infinity,
+        -Infinity
+      ]
+    },
+    {
+      "label": "say \\"hi\\"",
+      "x": [
+        0.0,
+        0.5,
+        1.0
+      ],
+      "y": [
+        -0.0,
+        5e-324,
+        1e+308
+      ]
+    },
+    {
+      "label": "temp\\u00e9rature",
+      "x": [
+        -1.0,
+        1e-300,
+        2.0,
+        3.0,
+        4.0
+      ],
+      "y": [
+        0.1,
+        -2.5,
+        0.3333333333333333,
+        7.0,
+        1e+22
+      ]
+    },
+    {
+      "label": "empty",
+      "x": [],
+      "y": []
+    }
+  ]
+}
+"""
+
+
+def _reference_payload(series, axes, format):
+    """The plot-file text as one csv.writer row at a time, or one json.dump."""
+    entries = []
+    for label, x, y in series:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if axes in (AXES_LOG_X, AXES_LOG_LOG):
+            x = np.log10(x)
+        if axes in (AXES_LOG_Y, AXES_LOG_LOG):
+            y = np.log10(y)
+        entries.append((label, x, y))
+    out = io.StringIO()
+    if format == FORMAT_JSON:
+        json.dump({"schema": 1, "axes": axes,
+                   "series": [{"label": label, "x": x.tolist(), "y": y.tolist()}
+                              for label, x, y in entries]},
+                  out, indent=2, sort_keys=True)
+        out.write("\n")
+        return out.getvalue()
+    x_name = "log10_t" if axes in (AXES_LOG_X, AXES_LOG_LOG) else "t"
+    groups = []
+    for label, x, y in entries:
+        if groups and np.array_equal(groups[-1][0], x):
+            groups[-1][1].append((label, y))
+        else:
+            groups.append((x, [(label, y)]))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([name for gi, (x, members) in enumerate(groups)
+                     for name in [x_name if len(groups) == 1 else f"{x_name}{gi}"]
+                     + [label for label, _ in members]])
+    for i in range(max(x.size for x, _ in groups)):
+        row = []
+        for x, members in groups:
+            if i < x.size:
+                row.append(repr(float(x[i])))
+                row.extend(repr(float(y[i])) for _, y in members)
+            else:
+                row.extend([""] * (1 + len(members)))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _random_payload(rng, axes):
+    """Ragged groups longer than a write block, with corner-case values."""
+    labels = ["plain", "a=1,b=2", 'q"uote', "naïve ✓", "two\nlines", ""]
+    special = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e308, -1e308, 1e-300]
+    series = []
+    for _ in range(rng.integers(1, 4)):
+        n = int(rng.choice([0, 1, 7, 1023, 1024, 1025, 2600]))
+        x = np.sort(rng.uniform(0.1, 50.0, n))
+        for _ in range(rng.integers(1, 4)):
+            y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            if axes == AXES_LINEAR and n:
+                pick = rng.integers(0, n, max(1, n // 10))
+                y[pick] = rng.choice(special, pick.size)
+            else:
+                y = np.abs(y) + 1e-300
+            series.append((str(rng.choice(labels)) or "blank", x, y))
+    return series
+
+
+class TestPlotFileBytes:
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 4])
+    @pytest.mark.parametrize("format, golden", [(FORMAT_CSV, GOLDEN_CSV),
+                                                (FORMAT_JSON, GOLDEN_JSON)])
+    def test_golden_bytes(self, monkeypatch, tmp_path, block_rows, format,
+                          golden):
+        if block_rows is not None:
+            monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows, raising=False)
+        buf = io.StringIO()
+        emit_plot_series(GOLDEN_SERIES, AXES_LINEAR, buf, format=format)
+        assert buf.getvalue() == golden
+        target = tmp_path / ("golden." + format)
+        emit_plot_series(GOLDEN_SERIES, AXES_LINEAR, target, format=format)
+        assert target.read_bytes() == golden.encode("utf-8")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("format", [FORMAT_CSV, FORMAT_JSON])
+    def test_matches_reference_writer(self, seed, format):
+        rng = np.random.default_rng(seed)
+        axes = (AXES_LINEAR, AXES_LOG_LOG)[seed % 2]
+        series = _random_payload(rng, axes)
+        buf = io.StringIO()
+        emit_plot_series(series, axes, buf, format=format)
+        assert buf.getvalue() == _reference_payload(series, axes, format)
+
+    def test_csv_rereads_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 2500))
+        y = rng.uniform(0, 1, 2500) * 10.0 ** rng.integers(-300, 300, 2500)
+        buf = io.StringIO()
+        emit_plot_series([("v", t, y)], AXES_LINEAR, buf)
+        back = read_csv(io.StringIO(buf.getvalue()))
+        assert back.times.tolist() == t.tolist()
+        assert back.values.tolist() == y.tolist()
+        assert all(math.isfinite(v) for v in back.values.tolist())
