@@ -64,12 +64,9 @@ def _float_list(text: str):
 
 def _int_list(text: str):
     vals = _float_list(text)
-    out = []
-    for v in vals:
-        if not v.is_integer():
-            raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
-        out.append(int(v))
-    return out
+    if not all(v.is_integer() for v in vals):
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
+    return [int(v) for v in vals]
 
 
 def _fmt(v: float) -> str:
@@ -509,10 +506,15 @@ def _read_config_tokens(path: str) -> list:
     return tokens
 
 
-def _apply_config(argv: list) -> list:
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
+    return probe
+
+
+def _apply_config(argv: list) -> list:
+    known, _ = _config_probe().parse_known_args(argv)
     if known.config is None:
         return argv
     return list(argv) + _read_config_tokens(known.config)

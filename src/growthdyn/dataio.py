@@ -112,7 +112,7 @@ def read_csv(source, time_col: int = 0, value_col: int = 1, label: str = "",
         try:
             return TimeSeries(*_load_columns(text, time_col, value_col),
                               label=label, kind=kind)
-        except (ValueError, OverflowError, ValidationError):
+        except (ValueError, OverflowError, ValidationError, csv.Error):
             pass  # the row pass below gives the verdict and its line number
     return _read_rows(text, origin, time_col, value_col, label, kind)
 
@@ -144,33 +144,37 @@ def _read_rows(text, origin, time_col, value_col, label, kind):
     times: list[float] = []
     values: list[float] = []
     needed = max(time_col, value_col) + 1
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < needed:
-            raise DataIOError(
-                f"{origin}, line {lineno}: expected at least {needed} columns, "
-                f"got {len(row)}")
-        try:
-            t = float(row[time_col])
-            v = float(row[value_col])
-        except ValueError:
-            if lineno == 1 and not times:
-                continue  # header line
-            raise DataIOError(
-                f"{origin}, line {lineno}: could not parse "
-                f"{row[time_col]!r}, {row[value_col]!r} as numbers") from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise DataIOError(f"{origin}, line {lineno}: non-finite value")
-        if times:
-            if t == times[-1]:
-                raise DataIOError(f"{origin}, line {lineno}: duplicate time {t!r}")
-            if t < times[-1]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < needed:
                 raise DataIOError(
-                    f"{origin}, line {lineno}: non-monotone time {t!r} "
-                    f"after {times[-1]!r}")
-        times.append(t)
-        values.append(v)
+                    f"{origin}, line {lineno}: expected at least {needed} columns, "
+                    f"got {len(row)}")
+            try:
+                t = float(row[time_col])
+                v = float(row[value_col])
+            except ValueError:
+                if lineno == 1 and not times:
+                    continue  # header line
+                raise DataIOError(
+                    f"{origin}, line {lineno}: could not parse "
+                    f"{row[time_col]!r}, {row[value_col]!r} as numbers") from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise DataIOError(f"{origin}, line {lineno}: non-finite value")
+            if times:
+                if t == times[-1]:
+                    raise DataIOError(f"{origin}, line {lineno}: duplicate time {t!r}")
+                if t < times[-1]:
+                    raise DataIOError(
+                        f"{origin}, line {lineno}: non-monotone time {t!r} "
+                        f"after {times[-1]!r}")
+            times.append(t)
+            values.append(v)
+    except csv.Error as exc:  # a bare carriage return, say
+        raise DataIOError(f"{origin}, line {reader.line_num}: {exc}") from None
     if not times:
         raise DataIOError(f"{origin}: no data rows")
     try:
@@ -286,7 +290,7 @@ def _write_csv(transformed, axes, fh):
     # Group consecutive series that share an abscissa behind one x column.
     groups = []
     for label, x, y in transformed:
-        if groups and groups[-1][0].shape == x.shape and np.array_equal(groups[-1][0], x):
+        if groups and groups[-1][0].tobytes() == x.tobytes():  # keeps -0.0 apart
             groups[-1][1].append((label, y))
         else:
             groups.append((x, [(label, y)]))

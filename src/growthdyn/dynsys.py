@@ -1,7 +1,7 @@
 """Fixed points, linear stability, and two-species competition.
 
 The analysis pipeline is: locate an equilibrium of a planar autonomous system
-(damped Newton), linearize around it (central finite differences), and
+(Levenberg-Marquardt), linearize around it (central finite differences), and
 classify the linearization by its eigenvalue pair
 
     lambda = 0.5 * [(A + D) +/- sqrt((A + D)**2 - 4*(A*D - B*C))]
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (NonConvergenceError, NumericalError, ParameterError,
                      ValidationError)
+from .fitting import _lm_once
 from .ode import AutonomousSystem
 
 STABLE_NODE = "stable node"
@@ -41,6 +42,7 @@ SPECIES_2_SURVIVES = "species-2-survives"
 MARGINAL = "marginal"
 
 _DET_TOL = 1e-12     # |det| below this is treated as singular
+_DESCENT_TOL = 1e-12  # fixed-point descent stop; tol itself bounds |rhs| afterwards
 _REPEAT_TOL = 1e-9   # eigenvalue gap below this counts as repeated
 
 
@@ -122,7 +124,7 @@ def _fd_jacobian(rhs, x, h=None):
         xm[j] -= hj
         fp = np.asarray(rhs(xp), dtype=float)
         fm = np.asarray(rhs(xm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise NumericalError(f"non-finite rhs near {x.tolist()} while differencing")
         jac[:, j] = (fp - fm) / (2.0 * hj)
     return jac
@@ -130,50 +132,32 @@ def _fd_jacobian(rhs, x, h=None):
 
 def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
                      max_iter: int = 100) -> FixedPoint2D:
-    """Damped Newton search for rhs(x) = 0 near the guess.
+    """Levenberg-Marquardt search for rhs(x) = 0 near the guess.
 
-    The step is halved up to 30 times until the residual decreases; running
-    out of iterations or hitting a singular Jacobian raises
-    NonConvergenceError carrying the best iterate found.
+    The fits' descent runs on rhs(x) in the state's own coordinates, with
+    linearize's central differences as its Jacobian, until its steps stop
+    reducing |rhs|.  Its last iterate is the equilibrium if |rhs| <= tol
+    there, else NonConvergenceError carries it as ``best``.
     """
     if system.dimension != 2:
         raise ValidationError("fixed-point search is implemented for planar systems")
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
+
+    def residual(x):
+        f = np.asarray(system.rhs(x), dtype=float)
+        return (f, None) if np.isfinite(f).all() else None
+
     x = _as_point(guess)
-    f = np.asarray(system.rhs(x), dtype=float)
-    norm = float(np.linalg.norm(f))
-    best_x, best_norm = x.copy(), norm
-    for _ in range(max_iter):
-        if norm <= tol:
-            return FixedPoint2D(float(x[0]), float(x[1]), norm)
-        jac = _fd_jacobian(system.rhs, x)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError(
-                f"singular Jacobian at iterate {x.tolist()}; no convergence "
-                f"(best residual {best_norm:.3e})", best=best_x) from None
-        lam = 1.0
-        for _ in range(30):
-            x_new = x + lam * step
-            f_new = np.asarray(system.rhs(x_new), dtype=float)
-            norm_new = float(np.linalg.norm(f_new))
-            if math.isfinite(norm_new) and norm_new < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"damping exhausted at iterate {x.tolist()} "
-                f"(best residual {best_norm:.3e})", best=best_x)
-        x, f, norm = x_new, f_new, norm_new
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
+    x, point, iters, _, _ = _lm_once(
+        residual, lambda x, _: _fd_jacobian(system.rhs, x), x, residual(x),
+        (-math.inf, math.inf), _DESCENT_TOL, max_iter)
+    norm = float(np.linalg.norm(point[0])) if point is not None else math.inf
     if norm <= tol:
         return FixedPoint2D(float(x[0]), float(x[1]), norm)
     raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations "
-        f"(best residual {best_norm:.3e} at {best_x.tolist()})", best=best_x)
+        f"no root within tol {tol:.1e} after {iters} iterations "
+        f"(best residual {norm:.3e} at {x.tolist()})", best=x)
 
 
 def linearize(system: AutonomousSystem, point, h: float | None = None) -> tuple:

@@ -4,12 +4,13 @@ The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration on a
 transformed parameter vector: positivity-constrained parameters (rates,
 damping coefficients, initial levels) are optimized as their natural logs,
 while the power-law exponent stays linear.  Residuals are taken either in
-value space or in log space, per the problem's loss_space.  One descent runs
-per fit, from the lowest-cost point of a fixed lattice around the caller's
-guess, and stops when the parameters or the cost stop changing, so repeated
-calls on the same problem return identical results.  Parameter names, records
-and evaluation come from the family table in models, terminal levels from
-models.terminal_value.
+value space or in log space, per the problem's loss_space, and differentiated
+in closed form (models).  One descent runs per fit, from the lowest-cost point
+of a fixed lattice around the caller's guess, and stops when the parameters
+or the cost stop changing, so repeated calls on the same problem return
+identical results; dynsys finds fixed points with the same descent.
+Parameter names, records and evaluation come from the family table in
+models, terminal levels from models.terminal_value.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -28,8 +29,8 @@ from .dataio import TimeSeries
 from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
-                     SaturatingLinearParams, evaluate, fitted_names,
-                     make_record, terminal_value)
+                     SaturatingLinearParams, _dlog_dtheta, evaluate,
+                     fitted_names, make_record, terminal_value)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -79,7 +80,7 @@ class FitProblem:
             raise ValidationError(
                 f"fitting {len(names)} parameters needs at least "
                 f"{2 * len(names)} points, series has {len(self.series)}")
-        if self.loss_space == LOSS_LOG and np.any(self.series.values <= 0):
+        if self.loss_space == LOSS_LOG and (self.series.values <= 0).any():
             raise ValidationError("log loss requires strictly positive values")
         alpha = self.alpha
         if isinstance(alpha, float) and alpha.is_integer():
@@ -150,80 +151,70 @@ def _from_theta(theta, is_log):
 
 
 def _theta_bounds(bounds, is_log):
-    lo = np.empty(len(bounds))
-    hi = np.empty(len(bounds))
-    for i, ((b_lo, b_hi), lg) in enumerate(zip(bounds, is_log)):
-        if lg:
-            lo[i] = math.log(b_lo) if b_lo > 0 else -math.inf
-            hi[i] = math.log(b_hi) if math.isfinite(b_hi) else math.inf
-        else:
-            lo[i], hi[i] = b_lo, b_hi
+    lo, hi = np.array(bounds, dtype=float).T
+    for i in np.flatnonzero(is_log):
+        lo[i] = math.log(lo[i]) if lo[i] > 0 else -math.inf
+        hi[i] = math.log(hi[i])  # inf stays inf
     return lo, hi
 
 
-def _predictor(problem):
+def _residual_fn(problem, is_log):
+    """residual(theta) -> (r, (record, yhat)), None at an invalid point, and
+    jacobian(theta, (record, yhat)) -> dr/dtheta from the closed form."""
     t = problem.series.times
     model, alpha = problem.model, problem.alpha
-    return lambda p: evaluate(make_record(model, p, alpha), t)
-
-
-def _residual_fn(problem):
-    predict = _predictor(problem)
     y = problem.series.values
-    log_loss = problem.loss_space == LOSS_LOG
-    log_y = np.log(y) if log_loss else None
+    log_y = np.log(y) if problem.loss_space == LOSS_LOG else None
 
-    def residual(theta, is_log):
+    def residual(theta):
         try:
-            yhat = predict(_from_theta(theta, is_log))
+            record = make_record(model, _from_theta(theta, is_log), alpha)
+            yhat = np.asarray(evaluate(record, t), dtype=float)
         except (ParameterError, DomainError, OverflowError):
             return None  # invalid or overflowing trial point: reject the step
-        yhat = np.asarray(yhat, dtype=float)
-        if not np.all(np.isfinite(yhat)):
+        if not np.isfinite(yhat).all():
             return None
-        if log_loss:
-            if np.any(yhat <= 0):
-                return None
-            return np.log(yhat) - log_y
-        return yhat - y
-
-    return residual
-
-
-def _fd_jacobian(residual, theta, is_log, r0):
-    m, n = r0.size, theta.size
-    jac = np.empty((m, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        tp = theta.copy(); tp[j] += h
-        tm = theta.copy(); tm[j] -= h
-        rp = residual(tp, is_log)
-        rm = residual(tm, is_log)
-        if rp is None or rm is None:
+        if log_y is None:
+            return yhat - y, (record, yhat)
+        if (yhat <= 0).any():
             return None
-        jac[:, j] = (rp - rm) / (2.0 * h)
-    return jac
+        return np.log(yhat) - log_y, (record, yhat)
+
+    def jacobian(theta, evaluated):
+        record, yhat = evaluated
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = _dlog_dtheta(record, t)
+            if log_y is None:
+                jac *= yhat[:, None]  # d yhat = yhat d ln yhat
+        return jac if np.isfinite(jac).all() else None
+
+    return residual, jacobian
 
 
-def _cost(r):
+def _cost(point):
     """Half the squared residual norm; inf for an unevaluable or overflowing point."""
-    if r is None:
+    if point is None:
         return math.inf
     with np.errstate(over="ignore"):
-        return 0.5 * float(r @ r)
+        return 0.5 * float(point[0] @ point[0])
 
 
-def _lm_once(residual, theta, r, is_log, t_bounds, tol, max_iter):
-    """Levenberg-Marquardt from theta, residual r; (theta, cost, iters, converged, jac)."""
-    cost = _cost(r)
+def _lm_once(residual, jacobian, theta, point, t_bounds, tol, max_iter):
+    """Levenberg-Marquardt from theta, where point = residual(theta).
+
+    residual(theta) is None where it cannot evaluate, else (r, aux), and
+    jacobian(theta, aux) is dr/dtheta or None.  Returns (theta, point,
+    iterations, converged, jac at the iterate before the last step).
+    """
+    cost = _cost(point)
     if not math.isfinite(cost):
-        return theta, cost, 0, False, None
+        return theta, point, 0, False, None
     lam = _LAMBDA_INIT
     for it in range(1, max_iter + 1):
-        jac = _fd_jacobian(residual, theta, is_log, r)
+        jac = jacobian(theta, point[1])
         if jac is None:
-            return theta, cost, it, False, None
-        grad = jac.T @ r
+            return theta, point, it, False, None
+        grad = jac.T @ point[0]
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(1e-30, float(diag.max(initial=0.0)) * 1e-15)
@@ -234,8 +225,8 @@ def _lm_once(residual, theta, r, is_log, t_bounds, tol, max_iter):
                 lam *= 10.0
                 continue
             trial = np.clip(theta + step, t_bounds[0], t_bounds[1])
-            r_trial = residual(trial, is_log)
-            cost_trial = _cost(r_trial)
+            point_trial = residual(trial)
+            cost_trial = _cost(point_trial)
             if cost_trial <= cost:
                 step = trial - theta
                 # Moré's stop: actual and predicted cost reductions both within
@@ -244,20 +235,20 @@ def _lm_once(residual, theta, r, is_log, t_bounds, tol, max_iter):
                 predicted = -float(grad @ step + 0.5 * step @ jtj @ step)
                 small = max(cost - cost_trial, predicted) <= max(tol * tol, _EPS) * cost
                 step_rel = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(theta)))
-                theta, r, cost = trial, r_trial, cost_trial
+                theta, point, cost = trial, point_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
-                if small or (step_rel <= tol and float(np.max(np.abs(jac.T @ r)))
+                if small or (step_rel <= tol and float(np.abs(jac.T @ point[0]).max())
                              <= tol * max(1.0, cost)):
-                    return theta, cost, it, True, jac
+                    return theta, point, it, True, jac
                 break
             lam *= 10.0
         else:
             # Damping exhausted: the iterate is a stationary point within
             # floating-point resolution.  Call it converged if the gradient
             # agrees, otherwise report failure.
-            grad_ok = float(np.max(np.abs(grad))) <= tol * max(1.0, cost)
-            return theta, cost, it, grad_ok, jac
-    return theta, cost, max_iter, False, jac
+            grad_ok = float(np.abs(grad).max()) <= tol * max(1.0, cost)
+            return theta, point, it, grad_ok, jac
+    return theta, point, max_iter, False, jac
 
 
 def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResult:
@@ -265,14 +256,16 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
 
     The descent starts from the lowest-cost point of the lattice
     guess + 1.5*{0, -1, 1}^n in the optimized coordinates (logs of positive
-    parameters), clipped to the bounds; the guess itself wins ties.  It
-    converges when the relative parameter update and the gradient both fall
-    below tol, or when an accepted step cuts the cost by at most
-    max(tol**2, float64 epsilon) relative, both actually and as linearized
-    (the stop for data at its noise floor).  Otherwise NonConvergenceError
-    carries the last iterate as ``best``; a constant series raises
-    RankDeficiencyError up front.  For the logistic family with alpha = 0
-    the model is phi0*exp((a - b) t): only a - b and phi0 are identifiable.
+    parameters), clipped to the bounds; the guess itself wins ties.  The
+    Jacobian is analytic, so the model is evaluated 3^n times for the
+    lattice, then once per trial step.  The descent converges when the
+    relative parameter update and the gradient both fall below tol, or when
+    an accepted step cuts the cost by at most max(tol**2, float64 epsilon)
+    relative, both actually and as linearized (the stop for data at its
+    noise floor).  Otherwise NonConvergenceError carries the last iterate as
+    ``best``; a constant series raises RankDeficiencyError up front.  For the
+    logistic family with alpha = 0 the model is phi0*exp((a - b) t): only
+    a - b and phi0 are identifiable.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -284,26 +277,24 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
             "constant series carries no information about growth rates")
 
     is_log = _theta_is_log(problem.model)
-    residual = _residual_fn(problem)
-    unbounded = ((-math.inf, math.inf),) * len(is_log)
-    t_bounds = _theta_bounds(problem.bounds or unbounded, is_log)
+    residual, jacobian = _residual_fn(problem, is_log)
+    t_bounds = _theta_bounds(problem.bounds or [(-math.inf, math.inf)] * len(is_log), is_log)
     theta0 = _to_theta(problem.initial_guess, is_log)
-    lattice = []  # (cost, theta, r); the zero offset first, so min keeps the guess on ties
+    lattice = []  # (cost, theta, point); the zero offset first, so min keeps the guess on ties
     for offset in itertools.product((0.0, -1.0, 1.0), repeat=theta0.size):
         theta = np.clip(theta0 + _LATTICE_STEP * np.array(offset), t_bounds[0], t_bounds[1])
-        r = residual(theta, is_log)
-        lattice.append((_cost(r), theta, r))
-    _, theta, r = min(lattice, key=lambda point: point[0])
-    theta, cost, iters, converged, jac = _lm_once(
-        residual, theta, r, is_log, t_bounds, tol, max_iter)
+        point = residual(theta)
+        lattice.append((_cost(point), theta, point))
+    _, theta, point = min(lattice, key=lambda entry: entry[0])
+    theta, point, iters, converged, jac = _lm_once(
+        residual, jacobian, theta, point, t_bounds, tol, max_iter)
     params = _from_theta(theta, is_log)
     try:
         forecast = _terminal_forecast(make_record(problem.model, params, problem.alpha))
     except (ParameterError, OverflowError):
         forecast = None  # no lattice point could be evaluated: the guess is not a model
-    rmse = math.sqrt(2.0 * cost / len(problem.series)) if math.isfinite(cost) else math.inf
-    condition = (float(np.linalg.cond(jac))
-                 if jac is not None and np.all(np.isfinite(jac)) else math.inf)
+    rmse = math.sqrt(2.0 * _cost(point) / len(problem.series))  # inf stays inf
+    condition = float(np.linalg.cond(jac)) if jac is not None else math.inf
     result = FitResult(
         params=params,
         param_names=fitted_names(problem.model),

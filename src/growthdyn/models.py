@@ -108,9 +108,7 @@ class GeneralizedLogisticParams:
         _require(_finite(self.phi0) and self.phi0 >= 0,
                  f"need phi0 >= 0, got phi0={self.phi0}")
         al = self.alpha
-        if isinstance(al, float):
-            if not (math.isfinite(al) and al == int(al)):
-                raise ParameterError(f"unsupported alpha: {al!r} (must be a non-negative integer)")
+        if isinstance(al, float) and al.is_integer():
             al = int(al)
             object.__setattr__(self, "alpha", al)
         _require(isinstance(al, int) and al >= 0,
@@ -141,10 +139,31 @@ def make_record(family, params, alpha=None):
     return FAMILIES[family](*params)
 
 
+def _dlog_dtheta(params, t):
+    """Columns of d ln(phi)/d theta at times t (an array) in a fit's coordinates
+    (ln p, beta as it is); a column in ln t or b t is 0 at t = 0."""
+    one = np.ones_like(t)
+    if isinstance(params, PowerLawParams):
+        return np.column_stack((one, np.log(np.where(t > 0, t, 1.0))))
+    if isinstance(params, SaturatingLinearParams):  # t capped at 700/b as evaluated
+        bt = params.b * np.minimum(t, _EXP_MAX / params.b)
+        x = np.where(bt > 0, bt, 1.0)
+        return np.column_stack((one, np.where(bt > 0, x / np.expm1(x) - 1.0, 0.0)))
+    a, b, al, phi0 = params.a, params.b, params.alpha, params.phi0
+    if al == 0:  # ln phi = ln phi0 + (a - b) t
+        return np.column_stack((a * t, -b * t, one))
+    # ln phi = ln phi0 - ln(D)/alpha, D = r + (1 - r) E, E = exp(-alpha a t)
+    r = b * phi0 ** al / a
+    e = np.exp(-al * a * t)
+    d = r + (1.0 - r) * e
+    u = r * (1.0 - e) / d
+    return np.column_stack((u / al + (1.0 - r) * a * t * e / d, -u / al, 1.0 - u))
+
+
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise DomainError(f"time must be >= 0, got {t!r}")
     return arr, arr.ndim == 0
 
@@ -156,7 +175,7 @@ def eval_power_law(params: PowerLawParams, t):
     value outside float64 range.
     """
     arr, scalar = _as_times(t)
-    if params.beta < 0 and np.any(arr == 0):
+    if params.beta < 0 and (arr == 0).any():
         raise DomainError("t = 0 with beta < 0 diverges")
     with np.errstate(over="ignore"):
         out = params.a * np.power(arr, params.beta)
@@ -213,7 +232,7 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
     if al == 0:
         log_phi0 = math.log(phi0)  # phi0 > 0 here: phi0 == 0 is the constant case
         exponent = (a - b) * arr + log_phi0
-        if np.any(exponent > _EXP_MAX):
+        if (exponent > _EXP_MAX).any():
             if scalar:
                 return UNBOUNDED
             raise DomainError(
@@ -224,7 +243,7 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
     else:
         r = b * phi0 ** al / a
         scale = (r + (1.0 - r) * np.exp(-al * a * arr)) ** (1.0 / al)
-        if np.any(scale * _FLOAT_MAX < phi0):
+        if (scale * _FLOAT_MAX < phi0).any():
             raise DomainError(
                 f"alpha = {al} value leaves float64 range: terminal level "
                 f"(a/b)**(1/alpha) = {(a / b) ** (1.0 / al):.6g}, "

@@ -495,6 +495,23 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path)])
         assert code == 4
 
+    def test_config_probe_built_once(self, tmp_path, capsys):
+        cli._config_probe.cache_clear()
+        for _ in range(3):
+            assert main(["simulate", "--model", "power", "--points", "5",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert cli._config_probe.cache_info().misses == 1
+
+    def test_config_without_value_is_usage_error_each_time(self, tmp_path, capsys):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["simulate", "--model", "power", "--config"])
+            assert info.value.code == 2
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "--config: expected one argument" in outputs[0].err
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("just-a-word\n")

@@ -117,6 +117,22 @@ class TestReadCsv:
         with pytest.raises(DataIOError, match="bad.csv"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\r3,4\r", 1),              # bare carriage returns only
+        ("t,v\r\n1,2\r3,4\n", 2),      # one after a CRLF header
+        ("1,2\n3,4\n5,6\r7,8\n", 3),
+    ])
+    def test_bare_carriage_return_in_a_stream(self, text, line):
+        # a stream is not newline-translated; the csv module's error is mapped
+        with pytest.raises(DataIOError, match=f"<stream>, line {line}:"):
+            read_csv(io.StringIO(text))
+
+    def test_bare_carriage_return_in_a_file(self, tmp_path):
+        # text mode reads a bare carriage return as a line end
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"1,2\r3,4\r")
+        np.testing.assert_array_equal(read_csv(path).values, [2.0, 4.0])
+
 
 class TestCumulate:
     def test_prefix_sums(self):
@@ -174,6 +190,18 @@ class TestEmitPlotSeries:
         assert lines[0] == "t0,a,t1,b"
         # ragged group padded with empty cells
         assert lines[3] == ",,3.0,5.0"
+
+    def test_signed_zero_abscissas_stay_apart(self):
+        # -0.0 == 0.0, but only bitwise-equal abscissas share a column
+        buf = io.StringIO()
+        emit_plot_series([("a", [0.0, 1.0], [1, 2]), ("b", [-0.0, 1.0], [3, 4])],
+                         AXES_LINEAR, buf)
+        assert buf.getvalue().splitlines()[0] == "t0,a,t1,b"
+        first = read_csv(io.StringIO(buf.getvalue()), kind=KIND_GENERIC)
+        second = read_csv(io.StringIO(buf.getvalue()), time_col=2, value_col=3,
+                          kind=KIND_GENERIC)
+        assert not np.signbit(first.times[0]) and np.signbit(second.times[0])
+        np.testing.assert_array_equal(second.values, [3.0, 4.0])
 
     def test_log_log_transforms_both_columns(self):
         s = TimeSeries([1.0, 10.0, 100.0], [1.0, 100.0, 10000.0], label="sq")
