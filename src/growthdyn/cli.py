@@ -84,11 +84,10 @@ def _jsonable(v):
         return [v.real, v.imag]
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_jsonable(x) for x in np.asarray(v).tolist()] \
-            if isinstance(v, np.ndarray) else [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return _jsonable(v.item())
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, (np.ndarray, np.floating, np.integer)):
+        return _jsonable(v.tolist())
     if dataclasses.is_dataclass(v):
         return _jsonable(dataclasses.asdict(v))
     return str(v)
@@ -195,7 +194,7 @@ def _load_series(args) -> dataio.TimeSeries:
                              value_col=args.value_col, label=args.label)
     if args.accumulation_start is not None:
         keep = series.times >= args.accumulation_start
-        if not np.any(keep):
+        if not keep.any():
             raise ValidationError(
                 f"--accumulation-start {args.accumulation_start} leaves no samples")
         series = dataio.TimeSeries(series.times[keep], series.values[keep],
@@ -212,6 +211,8 @@ def _default_guess(model: str, series: dataio.TimeSeries):
 
 
 def cmd_fit(args):
+    if args.points < 2:
+        raise ValidationError(f"--points must be >= 2, got {args.points}")
     series = _load_series(args)
     # Fail on incompatible log axes before any fitting work happens.
     dataio.check_log_axes(series.label or "data", series.times, series.values,
@@ -222,9 +223,6 @@ def cmd_fit(args):
                                  initial_guess=guess, loss_space=args.loss,
                                  alpha=args.alpha)
     result = fitting.fit(problem, tol=args.tol, max_iter=args.max_iter)
-
-    if args.points < 2:
-        raise ValidationError(f"--points must be >= 2, got {args.points}")
     dense_t = np.linspace(float(series.times[0]), float(series.times[-1]),
                           args.points)
     record = models.make_record(model, result.params, result.alpha)
@@ -267,6 +265,8 @@ def cmd_analyze(args):
 # ----------------------------------------------------------------- compete
 
 def cmd_compete(args):
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
     params = dynsys.CompetitionParams(a1=args.a1, a2=args.a2, d1=args.d1,
                                       d2=args.d2, b=args.b, c=args.c)
     verdict = dynsys.exclusion_verdict(params)
@@ -301,6 +301,8 @@ def cmd_pde(args):
                                   cfl=args.cfl)
     if not args.t_end > 0:
         raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
+    if args.n_snapshots < 0:
+        raise ValidationError(f"--n-snapshots must be >= 0, got {args.n_snapshots}")
     # The probe table starts at t = 0 with |phi| = phi0: fail on an impossible
     # log axis before marching.
     dataio.check_log_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
@@ -356,12 +358,12 @@ def cmd_classify_early(args):
 
 # ----------------------------------------------------------------- parsing
 
-def _add_common(parser: argparse.ArgumentParser, axes_default=dataio.AXES_LINEAR):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     parser.add_argument("--prefix", default=None,
                         help="output filename prefix (default: subcommand name)")
-    parser.add_argument("--axes", default=axes_default,
+    parser.add_argument("--axes", default=dataio.AXES_LINEAR,
                         choices=[dataio.AXES_LINEAR, dataio.AXES_LOG_X,
                                  dataio.AXES_LOG_Y, dataio.AXES_LOG_LOG],
                         help="axis transform applied to emitted plot data")
@@ -395,13 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "field evolution.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name, **kwargs):
-        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+    def sub(name, func, **kwargs):
+        p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub("simulate", help="evaluate growth curves on a grid")
-    _add_common(p)
-    p.add_argument("--model", required=True,
-                   choices=[MODEL_POWER, MODEL_SATURATING, MODEL_LOGISTIC])
+    p = sub("simulate", cmd_simulate, help="evaluate growth curves on a grid")
+    p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
     p.add_argument("--a", type=_float_list, default=[1.0])
     p.add_argument("--b", type=_float_list, default=[1.0])
     p.add_argument("--beta", type=_float_list, default=[1.0])
@@ -412,13 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--grid", default=_GRID_AUTO,
                    choices=[_GRID_AUTO, _GRID_LINEAR, _GRID_LOG])
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub("fit", help="fit a growth model to a CSV series")
-    _add_common(p)
+    p = sub("fit", cmd_fit, help="fit a growth model to a CSV series")
     _add_input_flags(p)
-    p.add_argument("--model", required=True,
-                   choices=[MODEL_POWER, MODEL_SATURATING, MODEL_LOGISTIC])
+    p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
     p.add_argument("--alpha", type=int, default=1,
                    help="fixed nonlinearity exponent for the logistic family")
     p.add_argument("--loss", default=fitting.LOSS_LINEAR,
@@ -429,20 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--points", type=int, default=200,
                    help="grid size for the fitted overlay curve")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub("analyze", help="fixed-point stability report")
-    _add_common(p)
+    p = sub("analyze", cmd_analyze, help="fixed-point stability report")
     p.add_argument("--demo", default="coupled-logistic")
     p.add_argument("--rates", type=_float_list,
                    default=[1.0, 1.0, 0.5, 1.0, 1.0, 0.5],
                    help="aR,bR,eRS,aS,bS,eSR for the demo system")
     p.add_argument("--guess", type=_float_list, default=[2.0, 2.0])
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub("compete", help="two-species shared-resource competition")
-    _add_common(p)
+    p = sub("compete", cmd_compete, help="two-species shared-resource competition")
     p.add_argument("--a1", type=float, required=True)
     p.add_argument("--a2", type=float, required=True)
     p.add_argument("--d1", type=float, required=True)
@@ -453,10 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=None,
                    help="default: 50 / min(a1, a2)")
     p.add_argument("--points", type=int, default=501)
-    p.set_defaults(func=cmd_compete)
 
-    p = sub("pde", help="forced advection field evolution")
-    _add_common(p)
+    p = sub("pde", cmd_pde, help="forced advection field evolution")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--phi0", type=float, default=0.0)
     p.add_argument("--x-min", type=float, default=1.0)
@@ -466,15 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=2500.0)
     p.add_argument("--probe-x", type=_float_list, default=[50.0])
     p.add_argument("--n-snapshots", type=int, default=200)
-    p.set_defaults(func=cmd_pde)
 
-    p = sub("classify-early",
-                       help="exponential-vs-power-law verdict on a CSV series")
-    _add_common(p)
+    p = sub("classify-early", cmd_classify_early,
+            help="exponential-vs-power-law verdict on a CSV series")
     _add_input_flags(p)
     p.add_argument("--window", type=float, default=1.0,
                    help="leading fraction of the time span to classify")
-    p.set_defaults(func=cmd_classify_early)
     return parser
 
 

@@ -74,13 +74,13 @@ class TimeSeries:
                 f"got shapes {t.shape} and {v.shape}")
         if t.size == 0:
             raise ValidationError("a series needs at least one sample")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise ValidationError("times and values must be finite")
-        if not np.all(t[1:] > t[:-1]):  # np.diff would overflow near ±1e308
+        if not (t[1:] > t[:-1]).all():  # np.diff would overflow near ±1e308
             raise ValidationError("times must be strictly increasing")
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind in (KIND_ANNUAL, KIND_CUMULATIVE) and np.any(v < 0):
+        if self.kind in (KIND_ANNUAL, KIND_CUMULATIVE) and (v < 0).any():
             raise ValidationError(
                 f"{self.kind} series must be non-negative; "
                 f"first offender at index {int(np.argmax(v < 0))}")

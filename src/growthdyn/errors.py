@@ -31,7 +31,7 @@ class NumericalError(GrowthDynError):
 
 
 class NonConvergenceError(NumericalError):
-    """An iteration ran out of budget; carries the best iterate found."""
+    """An iteration did not converge; carries the best iterate found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -262,10 +262,11 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     relative parameter update and the gradient both fall below tol, or when
     an accepted step cuts the cost by at most max(tol**2, float64 epsilon)
     relative, both actually and as linearized (the stop for data at its
-    noise floor).  Otherwise NonConvergenceError carries the last iterate as
-    ``best``; a constant series raises RankDeficiencyError up front.  For the
-    logistic family with alpha = 0 the model is phi0*exp((a - b) t): only
-    a - b and phi0 are identifiable.
+    noise floor), and the last Jacobian it used is not singular.  Otherwise
+    NonConvergenceError carries the last iterate as ``best``; a constant
+    series raises RankDeficiencyError up front.  For the logistic family
+    with alpha = 0 the model is phi0*exp((a - b) t): only a - b and phi0
+    are identifiable.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -288,29 +289,27 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     _, theta, point = min(lattice, key=lambda entry: entry[0])
     theta, point, iters, converged, jac = _lm_once(
         residual, jacobian, theta, point, t_bounds, tol, max_iter)
-    params = _from_theta(theta, is_log)
-    try:
-        forecast = _terminal_forecast(make_record(problem.model, params, problem.alpha))
-    except (ParameterError, OverflowError):
-        forecast = None  # no lattice point could be evaluated: the guess is not a model
     rmse = math.sqrt(2.0 * _cost(point) / len(problem.series))  # inf stays inf
     condition = float(np.linalg.cond(jac)) if jac is not None else math.inf
     result = FitResult(
-        params=params,
+        params=_from_theta(theta, is_log),
         param_names=fitted_names(problem.model),
         rmse=rmse,
         iterations=iters,
-        converged=converged,
-        terminal_forecast=forecast,
+        # a singular Jacobian leaves a parameter undetermined: not converged
+        converged=converged and math.isfinite(condition),
+        terminal_forecast=_terminal_forecast(point[1][0]) if point is not None else None,
         jacobian_condition=condition,
         model=problem.model,
         loss_space=problem.loss_space,
         alpha=problem.alpha if problem.model == LOGISTIC_FAMILY else None,
     )
-    if not converged:
-        raise NonConvergenceError(
-            f"fit did not converge within {max_iter} iterations "
-            f"(rmse {rmse:.3e})", best=result)
+    if not result.converged:
+        why = (": no lattice point could be evaluated" if iters == 0 else
+               ": it ended on a singular Jacobian" if converged else
+               f" within {max_iter} iterations")
+        raise NonConvergenceError(f"fit did not converge{why} (rmse {rmse:.3e})",
+                                  best=result)
     return result
 
 
@@ -351,11 +350,11 @@ def early_growth_classifier(series: TimeSeries, window: float = 1.0) -> Classifi
     if t_w.size < 8:
         raise ValidationError(
             f"need at least 8 points in the window, got {t_w.size}")
-    if np.any(y_w <= 0):
+    if (y_w <= 0).any():
         raise DomainError(
             f"non-positive value {float(y_w[np.argmax(y_w <= 0)])!r} in window: "
             "cannot take logs")
-    if np.any(t_w <= 0):
+    if (t_w <= 0).any():
         raise DomainError("non-positive time in window: cannot take log t")
 
     ln_y = np.log(y_w)

@@ -72,7 +72,7 @@ def _eval_rhs(system, y, t):
     if dy.shape != y.shape:
         raise ValidationError(
             f"rhs returned shape {dy.shape}, expected {y.shape}")
-    if not np.all(np.isfinite(dy)):
+    if not np.isfinite(dy).all():
         raise NumericalError(
             f"non-finite derivative at t={t!r}, state={y.tolist()!r}")
     return dy
@@ -111,7 +111,7 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
         k3 = np.asarray(rhs(y + 0.5 * h * k2), dtype=float)
         k4 = np.asarray(rhs(y + h * k3), dtype=float)
         y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise NumericalError(
                 f"non-finite state after the step from t={t!r}, state={y.tolist()!r}")
         y = y_new
@@ -160,11 +160,11 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
         for row in _DP_A[1:]:
             y5 = y + h * sum(a_ij * k for a_ij, k in zip(row, ks))
             k7 = np.asarray(system.rhs(y5), dtype=float)
-            if not np.all(np.isfinite(k7)):
+            if not np.isfinite(k7).all():
                 break
             ks.append(k7)
         else:  # y5 and k7 now hold the last row's stage
-            if np.all(np.isfinite(y5)):
+            if np.isfinite(y5).all():
                 err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
                 scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
                 err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
@@ -199,7 +199,7 @@ def interp_states(trajectory: Trajectory, times) -> np.ndarray:
     """
     query = np.atleast_1d(np.asarray(times, dtype=float))
     grid = trajectory.times
-    if np.any(query < grid[0]) or np.any(query > grid[-1]):
+    if (query < grid[0]).any() or (query > grid[-1]).any():
         raise ValidationError("interpolation times outside the integrated span")
     out = np.empty((query.size, trajectory.states.shape[1]))
     for j in range(trajectory.states.shape[1]):

@@ -309,6 +309,32 @@ class TestFit:
         assert report["fit"]["params"]["a"] == pytest.approx(1.0, rel=1e-6)
         assert report["fit"]["params"]["beta"] == pytest.approx(1.0, rel=1e-6)
 
+    def test_singular_jacobian_exit_3(self, tmp_path, capsys):
+        # saturating fit of a cumulated power law: b -> 0 leaves b undetermined
+        t = np.linspace(0.5, 10.0, 60)
+        y = 2.0 * t ** 0.7 * (1.0 + 0.01 * np.random.default_rng(0).standard_normal(t.size))
+        data = tmp_path / "pow.csv"
+        data.write_text("".join(f"{float(ti)!r},{float(yi)!r}\n" for ti, yi in zip(t, y)))
+        code = main(["fit", str(data), "--model", "saturating", "--cumulative",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "singular Jacobian" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_points_checked_before_fitting(self, tmp_path, capsys, monkeypatch, points):
+        def never(*args, **kwargs):
+            raise AssertionError("fitted despite an invalid --points")
+        monkeypatch.setattr(cli.fitting, "fit", never)
+        data = tmp_path / "power.csv"
+        _write_power_csv(data)
+        out = tmp_path / "out"
+        code = main(["fit", str(data), "--model", "power", "--points", points,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "--points must be >= 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_input_exit_4(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv"), "--model", "power",
                      "--out-dir", str(tmp_path)])
@@ -385,6 +411,23 @@ class TestCompete:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["0", "-4"])
+    def test_bad_points_exit_2(self, tmp_path, capsys, points):
+        code = main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
+                     "--d2", "1", "--b", "1", "--c", "1", "--points", points,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_point_is_valid(self, tmp_path, capsys):
+        code = main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
+                     "--d2", "1", "--b", "1", "--c", "1", "--t-end", "5",
+                     "--points", "1", "--out-dir", str(tmp_path)])
+        assert code == 0
+        _, rows = _read_table(capsys.readouterr().out.splitlines()[0])
+        assert len(rows) == 1
+
     @pytest.mark.parametrize("axes", ["log-x", "log-log"])
     def test_log_x_rejected_before_integrating(self, tmp_path, capsys,
                                                monkeypatch, axes):
@@ -420,6 +463,18 @@ class TestPde:
     def test_bad_t_end_exit_2(self, tmp_path, capsys):
         code = main(["pde", "--t-end", "-1", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    def test_negative_snapshot_count_exit_2(self, tmp_path, capsys):
+        code = main(["pde", "--n-snapshots", "-3", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--n-snapshots must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_snapshots_is_valid(self, tmp_path, capsys):
+        code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "5",
+                     "--n-snapshots", "0", "--probe-x", "10",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
 
     @pytest.mark.parametrize("axes,phi0,message", [
         ("log-x", "0.5", "non-positive abscissa 0.0"),

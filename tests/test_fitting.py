@@ -175,6 +175,32 @@ class TestFitFailureModes:
         assert info.value.best.rmse == math.inf
         assert info.value.best.terminal_forecast is None
 
+    def test_unevaluable_lattice_has_no_forecast_and_says_so(self):
+        # the guess is a valid record, but every lattice point overflows: no
+        # record was evaluated, so there is no forecast
+        t = np.linspace(0.0, 8.0, 50)
+        problem = FitProblem(_series(t, 5.0 / (1.0 + 4.0 * np.exp(-t))),
+                             LOGISTIC_FAMILY, (1e300, 1e-300, 1.0))
+        with pytest.raises(NonConvergenceError,
+                           match="no lattice point could be evaluated") as info:
+            fit(problem)
+        assert info.value.best.iterations == 0
+        assert info.value.best.terminal_forecast is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singular_jacobian_is_not_converged(self, seed):
+        # a cumulated power law drives the saturating fit to b -> 0, where the
+        # ln b column bt/expm1(bt) - 1 is exactly 0 and b is undetermined
+        t = np.linspace(0.5, 10.0, 60)
+        noise = 1.0 + 0.01 * np.random.default_rng(seed).standard_normal(t.size)
+        series = _series(t, np.cumsum(2.0 * t ** 0.7 * noise))
+        with pytest.raises(NonConvergenceError, match="singular Jacobian") as info:
+            fit(FitProblem(series, SATURATING_LINEAR, (1.0, 1.0)))
+        best = info.value.best
+        assert not best.converged
+        assert best.jacobian_condition == math.inf
+        assert best.params[1] < 1e-15
+
     def test_bad_tol(self):
         t = np.linspace(0.2, 6.0, 40)
         problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1.0, 1.0))
