@@ -32,12 +32,12 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import dataio, dynsys, fields, fitting, models
-from .errors import DataIOError, NumericalError, ParameterError, ValidationError
-from .models import UNBOUNDED
+from .errors import DataIOError, NumericalError, ValidationError
 from .ode import integrate_adaptive, interp_states
 
 OUT_DIR_ENV = "GROWTHDYN_OUT"
@@ -76,8 +76,6 @@ def _fmt(v: float) -> str:
 def _jsonable(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if v is UNBOUNDED:
-        return None
     if isinstance(v, float):
         return v if math.isfinite(v) else repr(v)
     if isinstance(v, complex):
@@ -172,12 +170,8 @@ def cmd_simulate(args):
     summary = []
     for label, record in _simulate_combos(args, family):
         curves.append((label, times, models.evaluate(record, times)))
-        try:
-            terminal = models.terminal_value(record)
-        except ParameterError:
-            terminal = None  # the power law has no terminal level
         summary.append({"label": label, "params": record,
-                        "terminal_value": terminal})
+                        "terminal_value": models.terminal_level(record)})
     return [("plot", curves, args.axes)], {
         "model": args.model,
         "axes": args.axes,
@@ -267,8 +261,7 @@ def cmd_analyze(args):
 def cmd_compete(args):
     if args.points < 1:
         raise ValidationError(f"--points must be >= 1, got {args.points}")
-    params = dynsys.CompetitionParams(a1=args.a1, a2=args.a2, d1=args.d1,
-                                      d2=args.d2, b=args.b, c=args.c)
+    params = _record(dynsys.CompetitionParams, args)
     verdict = dynsys.exclusion_verdict(params)
     init = args.init
     if len(init) != 2:
@@ -296,9 +289,7 @@ def cmd_compete(args):
 # --------------------------------------------------------------------- pde
 
 def cmd_pde(args):
-    setup = fields.AdvectionSetup(c=args.c, phi0=args.phi0, x_min=args.x_min,
-                                  x_max=args.x_max, n_cells=args.n_cells,
-                                  cfl=args.cfl)
+    setup = _record(fields.AdvectionSetup, args)
     if not args.t_end > 0:
         raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
     if args.n_snapshots < 0:
@@ -307,8 +298,10 @@ def cmd_pde(args):
     # log axis before marching.
     dataio.check_log_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
                           np.array([setup.phi0]), args.axes)
+    # geomspace ends on t_end for n >= 2; for n = 0 or 1 t_end is appended.
     snap_times = np.concatenate(
-        ([0.0], np.geomspace(args.t_end * 1e-5, args.t_end, args.n_snapshots)))
+        ([0.0], np.geomspace(args.t_end * 1e-5, args.t_end, args.n_snapshots)[:-1],
+         [args.t_end]))
     snapshots = fields.evolve_advection_fd(setup, args.t_end, snap_times)
 
     probe_curves = []
@@ -373,6 +366,11 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="key=value file whose entries override flags")
 
 
+def _record(record, args):
+    """A record class built from the parsed flags named after its fields."""
+    return record(**{f.name: getattr(args, f.name) for f in dataclasses.fields(record)})
+
+
 def _add_input_flags(parser: argparse.ArgumentParser):
     parser.add_argument("input", help="CSV file with time,value rows")
     parser.add_argument("--time-col", type=int, default=0)
@@ -397,10 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "field evolution.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name, func, **kwargs):
+    def sub(name, func, record=None, **kwargs):
+        # The common flags, then one flag per field of the record class, typed
+        # and defaulted by it (required where the field has no default).
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         _add_common(p)
         p.set_defaults(func=func)
+        types = typing.get_type_hints(record) if record else {}
+        for f in dataclasses.fields(record) if record else ():
+            required = f.default is dataclasses.MISSING
+            p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+                           required=required, default=None if required else f.default)
         return p
 
     p = sub("simulate", cmd_simulate, help="evaluate growth curves on a grid")
@@ -438,25 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guess", type=_float_list, default=[2.0, 2.0])
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub("compete", cmd_compete, help="two-species shared-resource competition")
-    p.add_argument("--a1", type=float, required=True)
-    p.add_argument("--a2", type=float, required=True)
-    p.add_argument("--d1", type=float, required=True)
-    p.add_argument("--d2", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p = sub("compete", cmd_compete, dynsys.CompetitionParams,
+            help="two-species shared-resource competition")
     p.add_argument("--init", type=_float_list, default=[1.0, 1.0])
     p.add_argument("--t-end", type=float, default=None,
                    help="default: 50 / min(a1, a2)")
     p.add_argument("--points", type=int, default=501)
 
-    p = sub("pde", cmd_pde, help="forced advection field evolution")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--phi0", type=float, default=0.0)
-    p.add_argument("--x-min", type=float, default=1.0)
-    p.add_argument("--x-max", type=float, default=200.0)
-    p.add_argument("--n-cells", type=int, default=1024)
-    p.add_argument("--cfl", type=float, default=0.9)
+    p = sub("pde", cmd_pde, fields.AdvectionSetup, help="forced advection field evolution")
     p.add_argument("--t-end", type=float, default=2500.0)
     p.add_argument("--probe-x", type=_float_list, default=[50.0])
     p.add_argument("--n-snapshots", type=int, default=200)

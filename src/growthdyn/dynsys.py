@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,10 +90,10 @@ class CompetitionParams:
     c: float   # resource weight of species 2
 
     def __post_init__(self):
-        for name in ("a1", "a2", "d1", "d2", "b", "c"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"competition parameter {name} must be > 0, got {v!r}")
+                raise ParameterError(f"competition parameter {f.name} must be > 0, got {v!r}")
 
 
 @dataclass(frozen=True)

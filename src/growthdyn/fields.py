@@ -72,10 +72,14 @@ class AdvectionSetup:
             raise ParameterError(f"c must be > 0, got {self.c!r}")
         if not (math.isfinite(self.phi0) and self.phi0 >= 0):
             raise ParameterError(f"phi0 must be >= 0, got {self.phi0!r}")
+        if not math.isfinite(self.phi0 * self.phi0):
+            raise ParameterError(f"phi0={self.phi0!r} is too large: phi0**2 overflows")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
                 and 0 < self.x_min < self.x_max):
             raise ParameterError(
                 f"need 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})")
+        if not (self.x_min * self.x_min > 0 and math.isfinite(1.0 / (self.x_min * self.x_min))):
+            raise ParameterError(f"x_min={self.x_min!r} is too small: 1/x_min**2 overflows")
         if not (isinstance(self.n_cells, int) and self.n_cells >= 16):
             raise ParameterError(f"n_cells must be an integer >= 16, got {self.n_cells!r}")
         if not (math.isfinite(self.cfl) and 0 < self.cfl <= 0.9):
@@ -114,9 +118,7 @@ def diffusion_point_source(p: DiffusionParams, x, t: float):
     x_arr = np.asarray(x, dtype=float)
     four_dt = 4.0 * p.delta * t
     out = np.exp(-x_arr * x_arr / four_dt) / math.sqrt(math.pi * four_dt)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def _char_residual(phi: float, c: float, x: float, t: float) -> float:
@@ -192,9 +194,7 @@ def euler_terminal_profile(setup: AdvectionSetup, x):
     if (x_arr <= 0).any():
         raise DomainError(f"terminal profile requires x > 0, got {x!r}")
     out = np.sqrt(setup.phi0 ** 2 + 2.0 / x_arr)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if x_arr.ndim == 0 else out
 
 
 def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
@@ -220,12 +220,14 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
 
     Snapshots are linearly interpolated in time between march steps and share
     one read-only grid.  A march past _MAX_STEPS steps raises NumericalError:
-    before it starts when the acceleration bound alone implies that many,
-    else when the budget runs out.
+    before it starts when the acceleration bound or the advective bound at
+    phi0 implies that many, else when the budget runs out.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be >= 0, got {t_end!r}")
     req = [float(s) for s in snapshot_times]
+    if not all(map(math.isfinite, req)):
+        raise ValidationError(f"snapshot_times must be finite, got {req}")
     if any(b < a for a, b in zip(req, req[1:])):
         raise ValidationError("snapshot_times must be sorted ascending")
     if req and (req[0] < 0 or req[-1] > t_end * (1.0 + 1e-12) + 1e-30):
@@ -237,10 +239,12 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     x.flags.writeable = False
     source = -1.0 / (x * x)
     dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
-    if t_end / dt_accel > _MAX_STEPS:
+    # max|phi| >= phi0 throughout (the field deepens), so no step exceeds dt_max.
+    dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, _VEL_FLOOR))
+    if t_end / dt_max > _MAX_STEPS:
         raise NumericalError(
-            f"t_end={t_end!r} needs at least {t_end / dt_accel:.4g} steps of at "
-            f"most {dt_accel:.4g}, over the budget of {_MAX_STEPS}")
+            f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
+            f"most {dt_max:.4g}, over the budget of {_MAX_STEPS} steps")
 
     # The field followed by the inflow ghost; phi is a view of the field part.
     padded = np.full(setup.n_cells + 1, -setup.phi0)

@@ -10,7 +10,7 @@ of a fixed lattice around the caller's guess, and stops when the parameters
 or the cost stop changing, so repeated calls on the same problem return
 identical results; dynsys finds fixed points with the same descent.
 Parameter names, records and evaluation come from the family table in
-models, terminal levels from models.terminal_value.
+models, terminal levels from models.terminal_level.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -30,7 +30,7 @@ from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
                      SaturatingLinearParams, _dlog_dtheta, evaluate,
-                     fitted_names, make_record, terminal_value)
+                     fitted_names, integral_alpha, make_record, terminal_level)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -70,10 +70,10 @@ class FitProblem:
             raise ValidationError(
                 f"{self.model} takes {len(names)} parameters {names}, "
                 f"got {len(guess)}")
-        for name, g in zip(names, guess):
+        for name, g, is_log in zip(names, guess, _theta_is_log(self.model)):
             if not math.isfinite(g):
                 raise ValidationError(f"initial guess for {name} must be finite")
-            if name != "beta" and g <= 0:
+            if is_log and g <= 0:
                 raise ValidationError(
                     f"initial guess for {name} must be > 0, got {g}")
         if len(self.series) < 2 * len(names):
@@ -82,12 +82,7 @@ class FitProblem:
                 f"{2 * len(names)} points, series has {len(self.series)}")
         if self.loss_space == LOSS_LOG and (self.series.values <= 0).any():
             raise ValidationError("log loss requires strictly positive values")
-        alpha = self.alpha
-        if isinstance(alpha, float) and alpha.is_integer():
-            alpha = int(alpha)
-            object.__setattr__(self, "alpha", alpha)
-        if not (isinstance(alpha, int) and alpha >= 0):
-            raise ValidationError(f"alpha must be a non-negative integer, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", integral_alpha(self.alpha))
         if self.bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
             object.__setattr__(self, "bounds", bounds)
@@ -298,7 +293,7 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         iterations=iters,
         # a singular Jacobian leaves a parameter undetermined: not converged
         converged=converged and math.isfinite(condition),
-        terminal_forecast=_terminal_forecast(point[1][0]) if point is not None else None,
+        terminal_forecast=terminal_level(point[1][0]) if point is not None else None,
         jacobian_condition=condition,
         model=problem.model,
         loss_space=problem.loss_space,
@@ -311,16 +306,6 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         raise NonConvergenceError(f"fit did not converge{why} (rmse {rmse:.3e})",
                                   best=result)
     return result
-
-
-def _terminal_forecast(record):
-    """Finite terminal level of a fitted model, None where it has none."""
-    if getattr(record, "alpha", None) == 0:
-        return None  # unbounded (or, at a == b, constant) exponential growth
-    try:
-        return terminal_value(record)
-    except ParameterError:
-        return None  # the power law grows without bound
 
 
 def _ols_r2(x, y):
@@ -381,11 +366,11 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
     at phi = K/2 gives ln((1 - r) / ((2**alpha - 1) r)) / (alpha a); a start
     at or above K/2 reports 0.  The estimate depends only on the fitted
     parameters — the series argument is accepted for interface symmetry.
-    Unbounded models (power law, alpha = 0) have no terminal value to
-    approach, nor does a start at phi0 = 0 ever leave it.
+    Unbounded models (power law, alpha = 0 with a > b) have no terminal value
+    to approach, nor does a start at phi0 = 0 ever leave it.
     """
     record = make_record(fitted.model, fitted.params, fitted.alpha)
-    terminal = _terminal_forecast(record)
+    terminal = terminal_level(record)
     if terminal is None:
         raise DomainError(
             "not applicable: an unbounded model never saturates")

@@ -63,6 +63,14 @@ def _finite(x):
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
+def integral_alpha(alpha):
+    """alpha as an int (from an integral float too); else ParameterError."""
+    al = int(alpha) if isinstance(alpha, float) and alpha.is_integer() else alpha
+    _require(isinstance(al, int) and al >= 0,
+             f"unsupported alpha: {al!r} (must be a non-negative integer)")
+    return al
+
+
 @dataclass(frozen=True)
 class PowerLawParams:
     """Power-law growth phi = a * t**beta."""
@@ -107,16 +115,11 @@ class GeneralizedLogisticParams:
         _require(_finite(self.b) and self.b > 0, f"need b > 0, got b={self.b}")
         _require(_finite(self.phi0) and self.phi0 >= 0,
                  f"need phi0 >= 0, got phi0={self.phi0}")
-        al = self.alpha
-        if isinstance(al, float) and al.is_integer():
-            al = int(al)
-            object.__setattr__(self, "alpha", al)
-        _require(isinstance(al, int) and al >= 0,
-                 f"unsupported alpha: {self.alpha!r} (must be a non-negative integer)")
-        if self.a < self.b * self.phi0 ** al:
+        object.__setattr__(self, "alpha", integral_alpha(self.alpha))
+        if self.a < self.b * self.phi0 ** self.alpha:
             raise ParameterError(
                 f"growth regime requires a >= b*phi0**alpha; got a={self.a}, "
-                f"b*phi0**alpha={self.b * self.phi0 ** al}")
+                f"b*phi0**alpha={self.b * self.phi0 ** self.alpha}")
 
 
 FAMILIES = {POWER_LAW: PowerLawParams, SATURATING_LINEAR: SaturatingLinearParams,
@@ -225,7 +228,7 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
     if a == b * phi0 ** al:
         out = np.full_like(arr, phi0)
         return float(out) if scalar else out
-    if phi0 == 0 and al >= 1:
+    if phi0 == 0:  # phi = 0 is a fixed point of every member
         out = np.zeros_like(arr)
         return float(out) if scalar else out
 
@@ -280,6 +283,14 @@ def terminal_value(params):
             return UNBOUNDED
         return params.phi0  # a == b: constant solution
     return (params.a / params.b) ** (1.0 / params.alpha)
+
+
+def terminal_level(params):
+    """terminal_value, or None where growth is unbounded (power law, UNBOUNDED)."""
+    if isinstance(params, PowerLawParams):
+        return None
+    level = terminal_value(params)
+    return None if level is UNBOUNDED else level
 
 
 def early_time_approx(params: SaturatingLinearParams, t):

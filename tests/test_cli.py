@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestSimulate:
         assert terminals["alpha=1"] == pytest.approx(5.0)
         assert terminals["alpha=2"] == pytest.approx(math.sqrt(5.0))
 
+    def test_alpha0_zero_start_is_a_zero_curve(self, tmp_path, capsys):
+        code = main(["simulate", "--model", "logistic", "--alpha", "0", "--phi0", "0",
+                     "--a", "2", "--b", "1", "--points", "5", "--out-dir", str(tmp_path)])
+        assert code == 0
+        plot_line, report_line = capsys.readouterr().out.splitlines()
+        _, rows = _read_table(plot_line)
+        assert [row[1] for row in rows] == ["0.0"] * 5
+        # a > b with alpha = 0: unbounded growth has no terminal level
+        assert _read_report(report_line)["curves"][0]["terminal_value"] is None
+
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--model", "logistic", "--a", "1", "--b", "2",
                      "--out-dir", str(tmp_path)])
@@ -250,6 +261,15 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_negative_alpha_reports_the_records_rule(self, tmp_path, capsys):
+        data = tmp_path / "power.csv"
+        _write_power_csv(data)
+        code = main(["fit", str(data), "--model", "logistic", "--alpha", "-1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: unsupported alpha: -1 (must be a non-negative integer)\n"
+
     def test_power_law_recovery(self, tmp_path, capsys):
         data = tmp_path / "power.csv"
         _write_power_csv(data)
@@ -396,6 +416,13 @@ class TestCompete:
         assert header == ["t", "phi1", "phi2"]
         assert len(rows) == 16
 
+    def test_every_rate_flag_is_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compete", "--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1",
+                  "--b", "1", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "the following arguments are required: --c" in capsys.readouterr().err
+
     def test_marginal_verdict(self, tmp_path, capsys):
         code = main(["compete", "--a1", "1", "--a2", "1", "--d1", "1",
                      "--d2", "1", "--b", "1", "--c", "1", "--t-end", "5",
@@ -475,6 +502,40 @@ class TestPde:
                      "--n-snapshots", "0", "--probe-x", "10",
                      "--out-dir", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_few_snapshots_still_end_on_t_end(self, tmp_path, capsys, count):
+        # the last snapshot is the t_end field whatever --n-snapshots says
+        reports = {}
+        for n in (count, "3"):
+            code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "50",
+                         "--n-snapshots", n, "--probe-x", "10",
+                         "--out-dir", str(tmp_path / n)])
+            assert code == 0
+            probe_line, _, report_line = capsys.readouterr().out.splitlines()
+            assert _read_table(probe_line)[1][-1][0] == "50.0"
+            reports[n] = _read_report(report_line)
+        assert reports[count]["probes"] == reports["3"]["probes"]
+        assert reports[count]["profile_max_rel_err"] == reports["3"]["profile_max_rel_err"]
+        assert reports[count]["probes"][0]["rel_err"] < 0.5
+
+    @pytest.mark.parametrize("flags,exit_code,message", [
+        (["--phi0", "1e300"], 2, "phi0**2 overflows"),
+        (["--phi0", "1e150", "--n-cells", "64"], 3, "over the budget"),
+        (["--x-min", "1e-170", "--x-max", "2e-170"], 2, "1/x_min**2 overflows"),
+    ])
+    def test_extreme_setups_end_in_a_typed_error_promptly(
+            self, tmp_path, capsys, flags, exit_code, message):
+        start = time.perf_counter()
+        assert main(["pde", *flags, "--out-dir", str(tmp_path)]) == exit_code
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_setup_flags_default_to_the_record(self):
+        args = cli.build_parser().parse_args(["pde"])
+        assert cli._record(cli.fields.AdvectionSetup, args) == cli.fields.AdvectionSetup()
 
     @pytest.mark.parametrize("axes,phi0,message", [
         ("log-x", "0.5", "non-positive abscissa 0.0"),

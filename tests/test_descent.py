@@ -203,3 +203,19 @@ class TestFixedPointDescent:
     def test_max_iter_bounds_the_descent(self):
         with pytest.raises(NonConvergenceError):
             find_fixed_point(_demo_pair(), (0.3, 3.0), max_iter=1)
+
+    def test_exhausted_damping_is_not_converged(self):
+        # every trial point is unevaluable, so the damping climbs past its
+        # ceiling on the first iteration and the start comes back unconverged
+        start = np.array([1.0, 2.0])
+
+        def residual(theta):
+            return (theta - 3.0, None) if np.array_equal(theta, start) else None
+
+        theta, point, iters, converged, jac = fitting._lm_once(
+            residual, lambda theta, _: np.eye(2), start, residual(start),
+            (-math.inf, math.inf), 1e-10, 50)
+        assert (iters, converged) == (1, False)
+        np.testing.assert_array_equal(theta, start)
+        np.testing.assert_array_equal(point[0], [-2.0, -1.0])
+        np.testing.assert_array_equal(jac, np.eye(2))

@@ -152,6 +152,15 @@ class TestAdvectionSetup:
         with pytest.raises((ParameterError, ValidationError)):
             AdvectionSetup(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"phi0": 1e300}, "phi0**2 overflows"),
+        ({"x_min": 1e-170, "x_max": 2e-170}, "1/x_min**2 overflows"),  # x_min**2 is 0
+        ({"x_min": 1e-160, "x_max": 2e-160}, "1/x_min**2 overflows"),  # subnormal
+    ])
+    def test_setup_outside_float64_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message.replace("*", "[*]")):
+            AdvectionSetup(**kwargs)
+
 
 class TestUpwindScheme:
     def test_step_budget_refused_before_marching(self):
@@ -168,6 +177,28 @@ class TestUpwindScheme:
         setup = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16, phi0=10.0)
         with pytest.raises(NumericalError, match="budget of 50 steps"):
             evolve_advection_fd(setup, 9.0, [])
+
+    def test_advective_bound_refused_before_marching(self):
+        # max|phi| >= phi0 = 1e150 throughout, so every step is below 1e-150
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="over the budget"):
+            evolve_advection_fd(AdvectionSetup(n_cells=64, phi0=1e150), 2500.0, [])
+        assert time.perf_counter() - start < 0.1
+
+    def test_step_budget_ends_a_deepening_march(self, monkeypatch):
+        # from a zero start the field deepens toward sqrt(2/x), so the CFL step
+        # falls under the acceleration bound (0.9 here): 44 / 0.9 ~ 49 steps
+        # pass the up-front check, and the march itself runs out of 50
+        monkeypatch.setattr(fields, "_MAX_STEPS", 50)
+        setup = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16)
+        with pytest.raises(NumericalError, match="march used its budget of 50 steps"):
+            evolve_advection_fd(setup, 44.0, [])
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 5.0], [math.nan], [0.0, 5.0, math.nan]])
+    def test_non_finite_snapshot_times_rejected(self, times):
+        setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=32)
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_advection_fd(setup, 10.0, times)
 
     def test_field_stays_non_positive_on_one_shared_grid(self):
         # each step is a convex combination of non-positive values plus a

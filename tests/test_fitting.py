@@ -15,6 +15,7 @@ from growthdyn import (EXPONENTIAL, INDETERMINATE, KIND_GENERIC,
                        LOGISTIC_FAMILY, LOSS_LINEAR, LOSS_LOG, POWER_LAW,
                        SATURATING_LINEAR, DomainError, FitProblem, FitResult,
                        GeneralizedLogisticParams, NonConvergenceError,
+                       ParameterError,
                        RankDeficiencyError, SaturatingLinearParams,
                        TimeSeries, ValidationError, early_growth_classifier,
                        eval_logistic_family, eval_saturating_linear, fit,
@@ -62,6 +63,22 @@ class TestFitProblemValidation:
         with pytest.raises(ValidationError):
             FitProblem(_logistic_series(), LOGISTIC_FAMILY, (1.0, 1.0, 1.0),
                        alpha=1.5)
+
+    def test_negative_alpha_is_the_records_error(self):
+        # one exponent rule: the problem raises what the record would
+        with pytest.raises(ParameterError) as info:
+            FitProblem(_logistic_series(), LOGISTIC_FAMILY, (1.0, 1.0, 1.0), alpha=-1)
+        assert str(info.value) == "unsupported alpha: -1 (must be a non-negative integer)"
+
+    def test_integral_float_alpha_becomes_int(self):
+        problem = FitProblem(_logistic_series(), LOGISTIC_FAMILY, (1.0, 1.0, 1.0),
+                             alpha=2.0)
+        assert problem.alpha == 2 and isinstance(problem.alpha, int)
+
+    def test_only_log_coordinates_need_positive_guesses(self):
+        FitProblem(_series([1, 2, 3, 4], [1, 2, 3, 4]), POWER_LAW, (1.0, -0.5))
+        with pytest.raises(ValidationError, match="guess for a must be > 0"):
+            FitProblem(_series([1, 2, 3, 4], [1, 2, 3, 4]), POWER_LAW, (-1.0, 0.5))
 
     def test_guess_outside_bounds(self):
         with pytest.raises(ValidationError):
@@ -368,6 +385,17 @@ class TestSaturationOnset:
         assert eval_logistic_family(record, onset.half_terminal_time) \
             == pytest.approx(1.5, rel=1e-12)
         assert onset.terminal_value == pytest.approx(3.0, rel=1e-15)
+
+    def test_alpha0_constant_solution_onset_is_immediate(self):
+        # alpha = 0 with a == b is the constant phi0: its level from the start
+        fitted = FitResult(params=(1.5, 1.5, 0.4),
+                           param_names=("a", "b", "phi0"), rmse=0.0,
+                           iterations=1, converged=True, terminal_forecast=0.4,
+                           jacobian_condition=1.0, model=LOGISTIC_FAMILY,
+                           loss_space=LOSS_LINEAR, alpha=0)
+        onset = saturation_onset(None, fitted)
+        assert onset.half_terminal_time == 0.0
+        assert onset.terminal_value == 0.4
 
     def test_zero_start_rejected(self):
         fitted = FitResult(params=(5.0, 1.0, 0.0),

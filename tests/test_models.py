@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from growthdyn import models
 from growthdyn import (UNBOUNDED, DomainError, GeneralizedLogisticParams,
                        ParameterError, PowerLawParams, SaturatingLinearParams,
                        Unbounded, early_time_approx, eval_logistic_family,
@@ -173,6 +174,21 @@ class TestLogisticFamily:
         p = GeneralizedLogisticParams(a=2, b=1, alpha=1, phi0=0)
         assert eval_logistic_family(p, 5.0) == 0.0
 
+    def test_alpha0_zero_start_stays_zero(self):
+        # phi = 0 is a fixed point of alpha = 0 too: no log of the zero start
+        p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=0)
+        assert eval_logistic_family(p, 5.0) == 0.0
+        np.testing.assert_array_equal(eval_logistic_family(p, np.linspace(0.0, 900.0, 4)),
+                                      np.zeros(4))
+
+    @pytest.mark.parametrize("alpha,shown", [(-1, "-1"), (-1.0, "-1"), (1.5, "1.5"),
+                                             ("2", "'2'")])
+    def test_exponent_rule_message(self, alpha, shown):
+        with pytest.raises(ParameterError) as info:
+            GeneralizedLogisticParams(a=5, b=1, alpha=alpha, phi0=1)
+        assert str(info.value) == \
+            f"unsupported alpha: {shown} (must be a non-negative integer)"
+
     def test_alpha0_overflow_returns_marker(self):
         p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
         assert eval_logistic_family(p, 800.0) is UNBOUNDED
@@ -299,3 +315,23 @@ class TestEarlyTimeApprox:
         gap = np.abs(eval_saturating_linear(p, t) - early_time_approx(p, t))
         bound = (a * b / 2.0) * t ** 2
         assert np.all(gap <= bound * (1 + 1e-9) + 1e-15)
+
+
+class TestTerminalLevel:
+    """models.terminal_level: terminal_value where it is a level, else None."""
+
+    def test_saturating_families(self):
+        assert models.terminal_level(SaturatingLinearParams(a=3.0, b=0.8)) == 3.0 / 0.8
+        for alpha in (1, 2, 3):
+            p = GeneralizedLogisticParams(a=5, b=1, alpha=alpha, phi0=1)
+            assert models.terminal_level(p) == terminal_value(p)
+
+    def test_unbounded_growth_has_none(self):
+        assert models.terminal_level(PowerLawParams(a=2.0, beta=0.7)) is None
+        assert models.terminal_level(
+            GeneralizedLogisticParams(a=5, b=1, alpha=0, phi0=1)) is None
+
+    def test_alpha0_constant_solution_is_its_start(self):
+        # a == b with alpha = 0: the solution is the constant phi0
+        p = GeneralizedLogisticParams(a=2, b=2, alpha=0, phi0=0.5)
+        assert models.terminal_level(p) == 0.5 == terminal_value(p)

@@ -4,6 +4,7 @@ Reference trajectories use analytically solvable right-hand sides so no
 third-party solver is needed as an oracle.
 """
 import math
+import re
 import time
 
 import numpy as np
@@ -146,6 +147,17 @@ class TestAdaptive:
         system = AutonomousSystem(1, lambda s: s * s)
         with pytest.raises(StiffnessError):
             integrate_adaptive(system, np.array([1.0]), 0.0, 2.0)
+
+    def test_non_finite_stage_is_retried_smaller(self):
+        # y' = 1 below a wall at y = 1 and inf from it on: each step whose
+        # stages reach the wall is rejected and retried at a fifth of its size
+        # until the step underflows
+        system = AutonomousSystem(1, lambda s: np.array([1.0 if s[0] < 1.0 else math.inf]))
+        with pytest.raises(StiffnessError) as info:
+            integrate_adaptive(system, np.array([0.0]), 0.0, 2.0)
+        match = re.search(r"at t=(\S+) .* (\d+) rejected", str(info.value))
+        assert 1.0 - 1e-12 < float(match.group(1)) < 1.0
+        assert int(match.group(2)) > 0
 
     def test_step_budget_ends_a_long_run(self, monkeypatch):
         # a rotation held to 1e-10 over ten periods takes hundreds of steps
