@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from growthdyn import (AXES_LINEAR, GeneralizedLogisticParams,
-                       SaturatingLinearParams, UNBOUNDED, emit_plot_series,
+                       SaturatingLinearParams, emit_plot_series,
                        eval_logistic_family, eval_saturating_linear,
                        terminal_value)
 
@@ -34,7 +34,7 @@ def main(out_dir):
         log_curves.append((f"alpha={alpha}", t,
                            eval_logistic_family(record, t)))
         limit = terminal_value(record)
-        shown = "unbounded" if limit is UNBOUNDED else f"{limit:.4f}"
+        shown = "unbounded" if limit is None else f"{limit:.4f}"
         print(f"  alpha = {alpha}: terminal value {shown}")
 
     sat_path = os.path.join(out_dir, "growth_saturating.csv")

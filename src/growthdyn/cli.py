@@ -131,13 +131,14 @@ def _time_grid(args) -> np.ndarray:
         raise ValidationError(f"--points must be >= 2, got {args.points}")
     if not t_min < t_max:
         raise ValidationError(f"need --t-min < --t-max, got {t_min} >= {t_max}")
-    if spacing == _GRID_LOG:
-        if t_min <= 0:
-            raise ValidationError(
-                "log-spaced grid needs --t-min > 0 (log axes default to "
-                "t_max/10^4; pass --t-min explicitly to change it)")
-        return np.geomspace(t_min, t_max, args.points)
-    return np.linspace(t_min, t_max, args.points)
+    if spacing == _GRID_LOG and t_min <= 0:
+        raise ValidationError(
+            "log-spaced grid needs --t-min > 0 (log axes default to "
+            "t_max/10^4; pass --t-min explicitly to change it)")
+    if not math.isfinite(t_max - t_min):
+        raise ValidationError(f"need a finite span --t-max - --t-min, got {t_max} - {t_min}")
+    grid = np.geomspace if spacing == _GRID_LOG else np.linspace
+    return grid(t_min, t_max, args.points)
 
 
 _CLI_TO_FIT_MODEL = {
@@ -171,7 +172,7 @@ def cmd_simulate(args):
     for label, record in _simulate_combos(args, family):
         curves.append((label, times, models.evaluate(record, times)))
         summary.append({"label": label, "params": record,
-                        "terminal_value": models.terminal_level(record)})
+                        "terminal_value": models.terminal_value(record)})
     return [("plot", curves, args.axes)], {
         "model": args.model,
         "axes": args.axes,
@@ -292,6 +293,9 @@ def cmd_pde(args):
     setup = _record(fields.AdvectionSetup, args)
     if not args.t_end > 0:
         raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
+    # The snapshot grid is geometric from t_end*1e-5, which must not underflow.
+    if not (math.isfinite(args.t_end) and args.t_end * 1e-5 > 0):
+        raise ValidationError(f"--t-end must be finite with t_end*1e-5 > 0, got {args.t_end}")
     if args.n_snapshots < 0:
         raise ValidationError(f"--n-snapshots must be >= 0, got {args.n_snapshots}")
     # The probe table starts at t = 0 with |phi| = phi0: fail on an impossible

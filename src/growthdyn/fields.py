@@ -80,6 +80,8 @@ class AdvectionSetup:
                 f"need 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})")
         if not (self.x_min * self.x_min > 0 and math.isfinite(1.0 / (self.x_min * self.x_min))):
             raise ParameterError(f"x_min={self.x_min!r} is too small: 1/x_min**2 overflows")
+        if not math.isfinite(self.x_max * self.x_max):
+            raise ParameterError(f"x_max={self.x_max!r} is too large: x_max**2 overflows")
         if not (isinstance(self.n_cells, int) and self.n_cells >= 16):
             raise ParameterError(f"n_cells must be an integer >= 16, got {self.n_cells!r}")
         if not (math.isfinite(self.cfl) and 0 < self.cfl <= 0.9):

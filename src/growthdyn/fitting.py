@@ -10,7 +10,7 @@ of a fixed lattice around the caller's guess, and stops when the parameters
 or the cost stop changing, so repeated calls on the same problem return
 identical results; dynsys finds fixed points with the same descent.
 Parameter names, records and evaluation come from the family table in
-models, terminal levels from models.terminal_level.
+models, terminal levels from models.terminal_value.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -30,7 +30,7 @@ from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
                      SaturatingLinearParams, _dlog_dtheta, evaluate,
-                     fitted_names, integral_alpha, make_record, terminal_level)
+                     fitted_names, integral_alpha, make_record, terminal_value)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -164,11 +164,9 @@ def _residual_fn(problem, is_log):
     def residual(theta):
         try:
             record = make_record(model, _from_theta(theta, is_log), alpha)
-            yhat = np.asarray(evaluate(record, t), dtype=float)
+            yhat = evaluate(record, t)  # finite, or DomainError
         except (ParameterError, DomainError, OverflowError):
             return None  # invalid or overflowing trial point: reject the step
-        if not np.isfinite(yhat).all():
-            return None
         if log_y is None:
             return yhat - y, (record, yhat)
         if (yhat <= 0).any():
@@ -293,7 +291,7 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         iterations=iters,
         # a singular Jacobian leaves a parameter undetermined: not converged
         converged=converged and math.isfinite(condition),
-        terminal_forecast=terminal_level(point[1][0]) if point is not None else None,
+        terminal_forecast=terminal_value(point[1][0]) if point is not None else None,
         jacobian_condition=condition,
         model=problem.model,
         loss_space=problem.loss_space,
@@ -370,7 +368,7 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
     to approach, nor does a start at phi0 = 0 ever leave it.
     """
     record = make_record(fitted.model, fitted.params, fitted.alpha)
-    terminal = terminal_level(record)
+    terminal = terminal_value(record)
     if terminal is None:
         raise DomainError(
             "not applicable: an unbounded model never saturates")
@@ -386,6 +384,8 @@ def saturation_onset(series: TimeSeries | None, fitted: FitResult) -> OnsetEstim
     if r == 0:
         raise DomainError(
             f"b*phi0**alpha/a is 0 (phi0 = {phi0!r}): the curve never leaves its start")
-    half = (math.log1p(-r) - math.log((2.0 ** al - 1.0) * r)) / (al * a)
+    # (2**alpha - 1)*r as (1 - 2**-alpha)*(r*2**alpha): the same rounded
+    # product, but 2**alpha cannot overflow where r is subnormal
+    half = (math.log1p(-r) - math.log((1.0 - 0.5 ** al) * math.ldexp(r, al))) / (al * a)
     return OnsetEstimate(half_terminal_time=half, terminal_value=terminal,
                          crude_scale=None)

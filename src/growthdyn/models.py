@@ -28,30 +28,8 @@ POWER_LAW = "power-law"
 SATURATING_LINEAR = "saturating-linear"
 LOGISTIC_FAMILY = "logistic-family"
 
-# exp() overflow threshold for float64, with headroom
+# b t past which exp(-b t) is below float64 resolution
 _EXP_MAX = 700.0
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-class Unbounded:
-    """Singleton marker for growth without a finite terminal value.
-
-    Returned instead of ``float('inf')`` so that unbounded results cannot
-    silently flow into downstream arithmetic.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "unbounded"
-
-
-UNBOUNDED = Unbounded()
 
 
 def _require(cond, message):
@@ -116,10 +94,14 @@ class GeneralizedLogisticParams:
         _require(_finite(self.phi0) and self.phi0 >= 0,
                  f"need phi0 >= 0, got phi0={self.phi0}")
         object.__setattr__(self, "alpha", integral_alpha(self.alpha))
-        if self.a < self.b * self.phi0 ** self.alpha:
+        try:
+            damping = self.b * self.phi0 ** self.alpha
+        except OverflowError:  # phi0**alpha past float64: above any finite a
+            damping = math.inf
+        if self.a < damping:
             raise ParameterError(
                 f"growth regime requires a >= b*phi0**alpha; got a={self.a}, "
-                f"b*phi0**alpha={self.b * self.phi0 ** self.alpha}")
+                f"b*phi0**alpha={damping}")
 
 
 FAMILIES = {POWER_LAW: PowerLawParams, SATURATING_LINEAR: SaturatingLinearParams,
@@ -171,6 +153,14 @@ def _as_times(t):
     return arr, arr.ndim == 0
 
 
+def _in_range(params, out, scalar):
+    """out as a float for a scalar t, else the array; DomainError where a
+    value is not finite, i.e. lies outside float64 range."""
+    if not np.isfinite(out).all():
+        raise DomainError(f"{params!r} leaves float64 range")
+    return float(out) if scalar else out
+
+
 def eval_power_law(params: PowerLawParams, t):
     """Evaluate a*t**beta.  t may be a scalar or an array, t >= 0.
 
@@ -180,12 +170,9 @@ def eval_power_law(params: PowerLawParams, t):
     arr, scalar = _as_times(t)
     if params.beta < 0 and (arr == 0).any():
         raise DomainError("t = 0 with beta < 0 diverges")
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         out = params.a * np.power(arr, params.beta)
-    if np.isinf(out).any():
-        raise DomainError(
-            f"power law leaves float64 range: a={params.a!r}, beta={params.beta!r}")
-    return float(out) if scalar else out
+    return _in_range(params, out, scalar)
 
 
 def eval_saturating_linear(params: SaturatingLinearParams, t):
@@ -197,10 +184,9 @@ def eval_saturating_linear(params: SaturatingLinearParams, t):
     """
     arr, scalar = _as_times(t)
     a, b = params.a, params.b
-    if not a / b <= _FLOAT_MAX:
-        raise DomainError(f"saturating level a/b leaves float64 range: a={a!r}, b={b!r}")
-    out = -(a / b) * np.expm1(-b * np.minimum(arr, _EXP_MAX / b))
-    return float(out) if scalar else out
+    with np.errstate(all="ignore"):
+        out = -(a / b) * np.expm1(-b * np.minimum(arr, _EXP_MAX / b))
+    return _in_range(params, out, scalar)
 
 
 def eval_logistic_family(params: GeneralizedLogisticParams, t):
@@ -213,46 +199,23 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
                      r = b*phi0**alpha / a = (phi0/K)**alpha,  K = (a/b)**(1/alpha)
 
     The alpha >= 1 form solves the linear equation obeyed by u = phi**-alpha.
-    Its denominator lies in [r**(1/alpha), 1], so the value never exceeds K;
-    a value outside float64 range (K overflows, or r underflows and the
-    exponential with it) raises DomainError.
-
-    For alpha = 0 a scalar evaluation whose exponent would overflow float64
-    returns the UNBOUNDED marker; an array evaluation raises DomainError so
-    that infinities never leak into vectorized math.
+    Its denominator lies in [r**(1/alpha), 1], so the value never exceeds K.
+    A start on a fixed point (phi0 = 0, or a == b*phi0**alpha) stays there.
+    A value outside float64 range raises DomainError: alpha = 0 growth past
+    about t = (709.78 - ln phi0)/(a - b), or for alpha >= 1 a level K that
+    overflows (or r underflows, and the exponential with it).
     """
     arr, scalar = _as_times(t)
     a, b, al, phi0 = params.a, params.b, params.alpha, params.phi0
-
-    # fixed-point starts: the solution is constant
-    if a == b * phi0 ** al:
-        out = np.full_like(arr, phi0)
-        return float(out) if scalar else out
-    if phi0 == 0:  # phi = 0 is a fixed point of every member
-        out = np.zeros_like(arr)
-        return float(out) if scalar else out
-
-    if al == 0:
-        log_phi0 = math.log(phi0)  # phi0 > 0 here: phi0 == 0 is the constant case
-        exponent = (a - b) * arr + log_phi0
-        if (exponent > _EXP_MAX).any():
-            if scalar:
-                return UNBOUNDED
-            raise DomainError(
-                f"alpha = 0 growth overflows beyond t = "
-                f"{(_EXP_MAX - log_phi0) / (a - b):.6g}; evaluate scalars to get "
-                f"the unbounded marker")
-        out = np.exp(exponent)
-    else:
-        r = b * phi0 ** al / a
-        scale = (r + (1.0 - r) * np.exp(-al * a * arr)) ** (1.0 / al)
-        if (scale * _FLOAT_MAX < phi0).any():
-            raise DomainError(
-                f"alpha = {al} value leaves float64 range: terminal level "
-                f"(a/b)**(1/alpha) = {(a / b) ** (1.0 / al):.6g}, "
-                f"b*phi0**alpha/a = {r:.3g}")
-        out = phi0 / scale
-    return float(out) if scalar else out
+    with np.errstate(all="ignore"):
+        if phi0 == 0 or a == b * phi0 ** al:
+            out = np.full_like(arr, phi0)
+        elif al == 0:
+            out = np.exp((a - b) * arr + math.log(phi0))
+        else:
+            r = b * phi0 ** al / a
+            out = phi0 / (r + (1.0 - r) * np.exp(-al * a * arr)) ** (1.0 / al)
+    return _in_range(params, out, scalar)
 
 
 def evaluate(params, t):
@@ -268,29 +231,23 @@ def evaluate(params, t):
 
 
 def terminal_value(params):
-    """Limiting value of the growth law as t -> infinity.
+    """Limiting value of the growth law as t -> infinity, or None where growth
+    has no finite level.
 
-    GeneralizedLogisticParams: (a/b)**(1/alpha) for alpha >= 1; for alpha = 0
-    the UNBOUNDED marker when a > b, or phi0 when a == b (constant solution).
-    SaturatingLinearParams: a/b.
+    SaturatingLinearParams: a/b.  GeneralizedLogisticParams: (a/b)**(1/alpha)
+    for alpha >= 1; for alpha = 0, None when a > b and phi0 when a == b (the
+    constant solution).  PowerLawParams: None.  Any other object raises
+    ParameterError.
     """
     if isinstance(params, SaturatingLinearParams):
         return params.a / params.b
-    if not isinstance(params, GeneralizedLogisticParams):
-        raise ParameterError(f"no terminal value defined for {type(params).__name__}")
-    if params.alpha == 0:
-        if params.a > params.b:
-            return UNBOUNDED
-        return params.phi0  # a == b: constant solution
-    return (params.a / params.b) ** (1.0 / params.alpha)
-
-
-def terminal_level(params):
-    """terminal_value, or None where growth is unbounded (power law, UNBOUNDED)."""
+    if isinstance(params, GeneralizedLogisticParams):
+        if params.alpha >= 1:
+            return (params.a / params.b) ** (1.0 / params.alpha)
+        return params.phi0 if params.a == params.b else None
     if isinstance(params, PowerLawParams):
         return None
-    level = terminal_value(params)
-    return None if level is UNBOUNDED else level
+    raise ParameterError(f"no terminal value defined for {type(params).__name__}")
 
 
 def early_time_approx(params: SaturatingLinearParams, t):
@@ -300,5 +257,6 @@ def early_time_approx(params: SaturatingLinearParams, t):
     for every t >= 0, so the approximation is good while b*t stays small.
     """
     arr, scalar = _as_times(t)
-    out = params.a * arr
-    return float(out) if scalar else out
+    with np.errstate(all="ignore"):
+        out = params.a * arr
+    return _in_range(params, out, scalar)

@@ -168,6 +168,19 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "power", "--t-max", "inf"], "got inf - 0.0"),
+        (["--model", "saturating", "--t-min=-inf"], "got 20.0 - -inf"),
+        (["--model", "power", "--t-min=-1e308", "--t-max", "1e308"],
+         "got 1e+308 - -1e+308"),  # both finite, but the span overflows
+        (["--model", "logistic", "--alpha", "3", "--phi0", "1e200"], "b*phi0**alpha=inf"),
+    ])
+    def test_out_of_range_inputs_exit_2(self, tmp_path, capsys, flags, message):
+        assert main(["simulate", *flags, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_determinism(self, tmp_path, capsys):
         outputs = []
         for sub in ("one", "two"):
@@ -523,6 +536,9 @@ class TestPde:
         (["--phi0", "1e300"], 2, "phi0**2 overflows"),
         (["--phi0", "1e150", "--n-cells", "64"], 3, "over the budget"),
         (["--x-min", "1e-170", "--x-max", "2e-170"], 2, "1/x_min**2 overflows"),
+        (["--x-max", "1e300", "--n-cells", "64", "--t-end", "1"], 2, "x_max**2 overflows"),
+        (["--t-end", "inf"], 2, "--t-end must be finite"),
+        (["--t-end", "1e-320"], 2, "t_end*1e-5 > 0, got 1e-320"),  # it underflows to 0
     ])
     def test_extreme_setups_end_in_a_typed_error_promptly(
             self, tmp_path, capsys, flags, exit_code, message):

@@ -156,6 +156,7 @@ class TestAdvectionSetup:
         ({"phi0": 1e300}, "phi0**2 overflows"),
         ({"x_min": 1e-170, "x_max": 2e-170}, "1/x_min**2 overflows"),  # x_min**2 is 0
         ({"x_min": 1e-160, "x_max": 2e-160}, "1/x_min**2 overflows"),  # subnormal
+        ({"x_max": 1e300}, "x_max**2 overflows"),
     ])
     def test_setup_outside_float64_rejected(self, kwargs, message):
         with pytest.raises(ParameterError, match=message.replace("*", "[*]")):

@@ -386,6 +386,20 @@ class TestSaturationOnset:
             == pytest.approx(1.5, rel=1e-12)
         assert onset.terminal_value == pytest.approx(3.0, rel=1e-15)
 
+    def test_huge_alpha_with_subnormal_ratio_stays_finite(self):
+        # b*phi0**alpha/a is subnormal and 2**alpha overflows a float: the
+        # half time is still finite, and the curve is at K/2 = 0.5 there
+        fitted = FitResult(params=(1.0, 1.0, 0.499),
+                           param_names=("a", "b", "phi0"), rmse=0.0,
+                           iterations=1, converged=True, terminal_forecast=1.0,
+                           jacobian_condition=1.0, model=LOGISTIC_FAMILY,
+                           loss_space=LOSS_LINEAR, alpha=1030)
+        onset = saturation_onset(None, fitted)
+        assert onset.half_terminal_time == pytest.approx(-math.log(0.998), rel=1e-9)
+        record = GeneralizedLogisticParams(a=1.0, b=1.0, alpha=1030, phi0=0.499)
+        assert eval_logistic_family(record, onset.half_terminal_time) \
+            == pytest.approx(0.5, rel=1e-12)
+
     def test_alpha0_constant_solution_onset_is_immediate(self):
         # alpha = 0 with a == b is the constant phi0: its level from the start
         fitted = FitResult(params=(1.5, 1.5, 0.4),

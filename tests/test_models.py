@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from growthdyn import models
-from growthdyn import (UNBOUNDED, DomainError, GeneralizedLogisticParams,
-                       ParameterError, PowerLawParams, SaturatingLinearParams,
-                       Unbounded, early_time_approx, eval_logistic_family,
-                       eval_power_law, eval_saturating_linear, terminal_value)
+from growthdyn import (DomainError, GeneralizedLogisticParams, ParameterError,
+                       PowerLawParams, SaturatingLinearParams, early_time_approx,
+                       eval_logistic_family, eval_power_law,
+                       eval_saturating_linear, terminal_value)
 from growthdyn.ode import AutonomousSystem, integrate_fixed
 
 # Oracle values from the independent dt=1e-5 RK4 runs.
@@ -158,11 +158,7 @@ class TestLogisticFamily:
         assert terminal_value(GeneralizedLogisticParams(a=5, b=1, alpha=1, phi0=1)) == 5.0
         assert terminal_value(GeneralizedLogisticParams(a=5, b=1, alpha=2, phi0=1)) \
             == pytest.approx(math.sqrt(5.0), rel=1e-15)
-        assert terminal_value(GeneralizedLogisticParams(a=5, b=1, alpha=0, phi0=1)) is UNBOUNDED
-
-    def test_unbounded_marker_is_singleton(self):
-        assert Unbounded() is UNBOUNDED
-        assert repr(UNBOUNDED) == "unbounded"
+        assert terminal_value(GeneralizedLogisticParams(a=5, b=1, alpha=0, phi0=1)) is None
 
     def test_fixed_point_start_stays_constant(self):
         # a == b*phi0**alpha: the run starts on the equilibrium
@@ -189,9 +185,18 @@ class TestLogisticFamily:
         assert str(info.value) == \
             f"unsupported alpha: {shown} (must be a non-negative integer)"
 
-    def test_alpha0_overflow_returns_marker(self):
+    def test_alpha0_overflow_scalar_raises(self):
+        # a scalar time is refused like an array one, with the record named
         p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
-        assert eval_logistic_family(p, 800.0) is UNBOUNDED
+        with pytest.raises(DomainError, match=r"alpha=0, phi0=1\) leaves float64 range"):
+            eval_logistic_family(p, 800.0)
+
+    def test_alpha0_value_past_exp700_is_returned(self):
+        # e**705 is finite: only values past float64's limit (~e**709.78) raise
+        p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
+        assert eval_logistic_family(p, 705.0) == math.exp(705.0)
+        np.testing.assert_array_equal(eval_logistic_family(p, np.array([0.0, 709.0])),
+                                      [1.0, math.exp(709.0)])
 
     def test_alpha0_overflow_array_raises(self):
         p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
@@ -201,6 +206,11 @@ class TestLogisticFamily:
     def test_growth_regime_enforced(self):
         with pytest.raises(ParameterError):
             GeneralizedLogisticParams(a=1, b=2, alpha=1, phi0=1)
+
+    def test_start_whose_power_overflows_is_above_the_regime(self):
+        # phi0**alpha leaves float64: a typed refusal, not a bare OverflowError
+        with pytest.raises(ParameterError, match=r"b\*phi0\*\*alpha=inf"):
+            GeneralizedLogisticParams(a=5, b=1, alpha=3, phi0=1e200)
 
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(ParameterError):
@@ -301,6 +311,10 @@ class TestEarlyTimeApprox:
     def test_zero_case(self):
         assert early_time_approx(SaturatingLinearParams(a=3, b=2), 0.0) == 0.0
 
+    def test_value_outside_float64_raises(self):
+        with pytest.raises(DomainError):
+            early_time_approx(SaturatingLinearParams(a=1e300, b=1), np.array([1.0, 1e10]))
+
     def test_small_t_difference(self):
         p = SaturatingLinearParams(a=1, b=3)
         diff = abs(early_time_approx(p, 0.001) - eval_saturating_linear(p, 0.001))
@@ -318,20 +332,24 @@ class TestEarlyTimeApprox:
 
 
 class TestTerminalLevel:
-    """models.terminal_level: terminal_value where it is a level, else None."""
+    """terminal_value: the level where growth saturates, else None."""
 
     def test_saturating_families(self):
-        assert models.terminal_level(SaturatingLinearParams(a=3.0, b=0.8)) == 3.0 / 0.8
+        assert terminal_value(SaturatingLinearParams(a=3.0, b=0.8)) == 3.0 / 0.8
         for alpha in (1, 2, 3):
             p = GeneralizedLogisticParams(a=5, b=1, alpha=alpha, phi0=1)
-            assert models.terminal_level(p) == terminal_value(p)
+            assert terminal_value(p) == 5.0 ** (1.0 / alpha)
 
     def test_unbounded_growth_has_none(self):
-        assert models.terminal_level(PowerLawParams(a=2.0, beta=0.7)) is None
-        assert models.terminal_level(
-            GeneralizedLogisticParams(a=5, b=1, alpha=0, phi0=1)) is None
+        assert terminal_value(PowerLawParams(a=2.0, beta=0.7)) is None
+        assert terminal_value(GeneralizedLogisticParams(a=5, b=1, alpha=0, phi0=1)) is None
 
     def test_alpha0_constant_solution_is_its_start(self):
         # a == b with alpha = 0: the solution is the constant phi0
         p = GeneralizedLogisticParams(a=2, b=2, alpha=0, phi0=0.5)
-        assert models.terminal_level(p) == 0.5 == terminal_value(p)
+        assert terminal_value(p) == 0.5
+
+    @pytest.mark.parametrize("obj", [None, 3.0, models.FAMILIES])
+    def test_non_record_raises(self, obj):
+        with pytest.raises(ParameterError, match="no terminal value defined"):
+            terminal_value(obj)
