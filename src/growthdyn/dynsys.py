@@ -112,12 +112,12 @@ def _as_point(point):
     return arr
 
 
-def _fd_jacobian(rhs, x, h=None):
-    """Central-difference Jacobian, O(h^2), default h_i = 1e-6*(1 + |x_i|)."""
+def _fd_jacobian(rhs, x):
+    """Central-difference Jacobian, O(h^2) in the step h_j = 1e-6*(1 + |x_j|)."""
     n = x.size
     jac = np.empty((n, n))
     for j in range(n):
-        hj = h if h is not None else 1e-6 * (1.0 + abs(x[j]))
+        hj = 1e-6 * (1.0 + abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += hj
@@ -151,7 +151,7 @@ def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
     x = _as_point(guess)
     x, point, iters, _, _ = _lm_once(
         residual, lambda x, _: _fd_jacobian(system.rhs, x), x, residual(x),
-        (-math.inf, math.inf), _DESCENT_TOL, max_iter)
+        _DESCENT_TOL, max_iter)
     norm = float(np.linalg.norm(point[0])) if point is not None else math.inf
     if norm <= tol:
         return FixedPoint2D(float(x[0]), float(x[1]), norm)
@@ -160,16 +160,14 @@ def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
         f"(best residual {norm:.3e} at {x.tolist()})", best=x)
 
 
-def linearize(system: AutonomousSystem, point, h: float | None = None) -> tuple:
+def linearize(system: AutonomousSystem, point) -> tuple:
     """Jacobian entries (A, B, C, D) at a point by central differences.
 
     A = d(rhs_1)/dx_1, B = d(rhs_1)/dx_2, C = d(rhs_2)/dx_1, D = d(rhs_2)/dx_2,
-    each with O(h^2) truncation error; h defaults to 1e-6*(1 + |coordinate|).
+    each with O(h^2) truncation error in the step h = 1e-6*(1 + |coordinate|).
     """
-    if h is not None and not h > 0:
-        raise ValidationError(f"h must be positive, got {h}")
     x = _as_point(point)
-    jac = _fd_jacobian(system.rhs, x, h)
+    jac = _fd_jacobian(system.rhs, x)
     return (float(jac[0, 0]), float(jac[0, 1]), float(jac[1, 0]), float(jac[1, 1]))
 
 
@@ -220,11 +218,10 @@ def classify(jacobian) -> EigenClassification:
                                trace=tr, determinant=det)
 
 
-def stability_report(system: AutonomousSystem, guess, tol: float = 1e-10,
-                     h: float | None = None) -> StabilityReport:
+def stability_report(system: AutonomousSystem, guess, tol: float = 1e-10) -> StabilityReport:
     """Locate, linearize, and classify an equilibrium in one call."""
     fp = find_fixed_point(system, guess, tol=tol)
-    jac = linearize(system, fp, h=h)
+    jac = linearize(system, fp)
     eig = classify(jac)
     return StabilityReport(fixed_point=fp, jacobian=jac,
                            eigenvalues=eig.eigenvalues,

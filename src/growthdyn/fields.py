@@ -34,8 +34,6 @@ from .errors import (DomainError, NumericalError, ParameterError,
 from .ode import _MAX_STEPS, AutonomousSystem
 
 _VEL_FLOOR = 1e-12        # guards the CFL division on a flat (zero) field
-_BISECT_ITERS = 48
-_NEWTON_ITERS = 8
 _EXP_OVERFLOW = 700.0     # exp() argument ceiling before float64 overflow
 
 
@@ -132,18 +130,12 @@ def _char_residual(phi: float, c: float, x: float, t: float) -> float:
     return phi * phi - (2.0 / x) + (2.0 / x) * math.exp(expo)
 
 
-def _char_residual_prime(phi: float, c: float, x: float, t: float) -> float:
-    expo = c * phi * x - c ** 3 * t - 2.0 * math.log1p(phi / c)
-    if expo > _EXP_OVERFLOW:
-        return math.inf
-    return 2.0 * phi + (2.0 / x) * math.exp(expo) * (c * x - 2.0 / (c + phi))
-
-
 def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float:
     """Exact field value from the characteristic implicit relation.
 
-    Solves g(phi) = 0 on the physical branch [0, sqrt(2/x)] by bisection
-    refined with Newton steps.  The relation describes growth from the
+    Solves g(phi) = 0 on the physical branch [0, sqrt(2/x)] by bisection down
+    to adjacent floats, so the root and one of its neighbours bracket the sign
+    change of the computed g.  The relation describes growth from the
     globally flat zero start; at t = 0 the root is exactly 0 and as t grows
     it rises monotonically toward sqrt(2/x), independently of c.
     """
@@ -167,27 +159,18 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
             f"no sign change on [0, sqrt(2/x)] at x={x}, t={t}: "
             f"g(0)={g_lo:.6e}, g(hi)={g_hi:.6e}; parameters lie outside "
             "the solution branch")
-    for _ in range(_BISECT_ITERS):
+    # Halve [lo, hi] until the midpoint rounds to one end: lo and hi are then
+    # adjacent floats.  Each pass about halves the width, which starts below
+    # 2**1024 and cannot fall below the smallest subnormal, 2**-1074, so a
+    # float64 bracket ends within about 2,100 passes.
+    while True:
         mid = 0.5 * (lo + hi)
-        g_mid = _char_residual(mid, c, x, t)
-        if g_mid <= 0.0:
+        if not lo < mid < hi:
+            return mid
+        if _char_residual(mid, c, x, t) <= 0.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_ITERS):
-        g = _char_residual(root, c, x, t)
-        gp = _char_residual_prime(root, c, x, t)
-        if not (math.isfinite(g) and math.isfinite(gp)) or gp == 0.0:
-            break
-        step = g / gp
-        candidate = root - step
-        if not lo <= candidate <= hi:
-            break
-        root = candidate
-        if abs(step) <= 1e-16 * (1.0 + root):
-            break
-    return root
 
 
 def euler_terminal_profile(setup: AdvectionSetup, x):

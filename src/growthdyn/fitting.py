@@ -47,13 +47,12 @@ _R2_MARGIN = 0.02
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """A series, a model family, and everything the optimizer needs."""
+    """A series, a model family, the descent's starting guess and its loss space."""
 
     series: TimeSeries
     model: str
     initial_guess: tuple
     loss_space: str = LOSS_LINEAR
-    bounds: tuple | None = None
     alpha: int = 1  # logistic-family only: fixed nonlinearity exponent
 
     def __post_init__(self):
@@ -83,17 +82,6 @@ class FitProblem:
         if self.loss_space == LOSS_LOG and (self.series.values <= 0).any():
             raise ValidationError("log loss requires strictly positive values")
         object.__setattr__(self, "alpha", integral_alpha(self.alpha))
-        if self.bounds is not None:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-            object.__setattr__(self, "bounds", bounds)
-            if len(bounds) != len(names):
-                raise ValidationError("bounds must give one (lo, hi) pair per parameter")
-            for name, (lo, hi), g in zip(names, bounds, guess):
-                if not lo < hi:
-                    raise ValidationError(f"bounds for {name}: need lo < hi, got ({lo}, {hi})")
-                if not lo <= g <= hi:
-                    raise ValidationError(
-                        f"initial guess {g} for {name} outside bounds ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -145,14 +133,6 @@ def _from_theta(theta, is_log):
                  for v, lg in zip(theta, is_log))
 
 
-def _theta_bounds(bounds, is_log):
-    lo, hi = np.array(bounds, dtype=float).T
-    for i in np.flatnonzero(is_log):
-        lo[i] = math.log(lo[i]) if lo[i] > 0 else -math.inf
-        hi[i] = math.log(hi[i])  # inf stays inf
-    return lo, hi
-
-
 def _residual_fn(problem, is_log):
     """residual(theta) -> (r, (record, yhat)), None at an invalid point, and
     jacobian(theta, (record, yhat)) -> dr/dtheta from the closed form."""
@@ -192,7 +172,7 @@ def _cost(point):
         return 0.5 * float(point[0] @ point[0])
 
 
-def _lm_once(residual, jacobian, theta, point, t_bounds, tol, max_iter):
+def _lm_once(residual, jacobian, theta, point, tol, max_iter):
     """Levenberg-Marquardt from theta, where point = residual(theta).
 
     residual(theta) is None where it cannot evaluate, else (r, aux), and
@@ -217,11 +197,11 @@ def _lm_once(residual, jacobian, theta, point, t_bounds, tol, max_iter):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = np.clip(theta + step, t_bounds[0], t_bounds[1])
+            trial = theta + step
             point_trial = residual(trial)
             cost_trial = _cost(point_trial)
             if cost_trial <= cost:
-                step = trial - theta
+                step = trial - theta  # the step as taken, rounded like trial
                 # Moré's stop: actual and predicted cost reductions both within
                 # tol**2 of the cost (it is quadratic in the parameter error), or
                 # within float64 resolution where tol**2 is below it.
@@ -249,39 +229,38 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
 
     The descent starts from the lowest-cost point of the lattice
     guess + 1.5*{0, -1, 1}^n in the optimized coordinates (logs of positive
-    parameters), clipped to the bounds; the guess itself wins ties.  The
-    Jacobian is analytic, so the model is evaluated 3^n times for the
-    lattice, then once per trial step.  The descent converges when the
-    relative parameter update and the gradient both fall below tol, or when
-    an accepted step cuts the cost by at most max(tol**2, float64 epsilon)
-    relative, both actually and as linearized (the stop for data at its
-    noise floor), and the last Jacobian it used is not singular.  Otherwise
-    NonConvergenceError carries the last iterate as ``best``; a constant
-    series raises RankDeficiencyError up front.  For the logistic family
-    with alpha = 0 the model is phi0*exp((a - b) t): only a - b and phi0
-    are identifiable.
+    parameters); the guess itself wins ties.  The Jacobian is analytic, so
+    the model is evaluated 3^n times for the lattice, then once per trial
+    step.  The descent converges when the relative parameter update and the
+    gradient both fall below tol, or when an accepted step cuts the cost by
+    at most max(tol**2, float64 epsilon) relative, both actually and as
+    linearized (the stop for data at its noise floor), and the last Jacobian
+    it used is not singular.  Otherwise NonConvergenceError carries the last
+    iterate as ``best``; a constant series (range at most 1e-12 times its
+    largest magnitude) raises RankDeficiencyError up front.  For the
+    logistic family with alpha = 0 the model is phi0*exp((a - b) t): only
+    a - b and phi0 are identifiable.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     values = problem.series.values
-    if float(np.ptp(values)) <= 1e-12 * max(1.0, float(np.max(np.abs(values)))):
+    if float(np.ptp(values)) <= 1e-12 * float(np.max(np.abs(values))):
         raise RankDeficiencyError(
             "constant series carries no information about growth rates")
 
     is_log = _theta_is_log(problem.model)
     residual, jacobian = _residual_fn(problem, is_log)
-    t_bounds = _theta_bounds(problem.bounds or [(-math.inf, math.inf)] * len(is_log), is_log)
     theta0 = _to_theta(problem.initial_guess, is_log)
     lattice = []  # (cost, theta, point); the zero offset first, so min keeps the guess on ties
     for offset in itertools.product((0.0, -1.0, 1.0), repeat=theta0.size):
-        theta = np.clip(theta0 + _LATTICE_STEP * np.array(offset), t_bounds[0], t_bounds[1])
+        theta = theta0 + _LATTICE_STEP * np.array(offset)
         point = residual(theta)
         lattice.append((_cost(point), theta, point))
     _, theta, point = min(lattice, key=lambda entry: entry[0])
     theta, point, iters, converged, jac = _lm_once(
-        residual, jacobian, theta, point, t_bounds, tol, max_iter)
+        residual, jacobian, theta, point, tol, max_iter)
     rmse = math.sqrt(2.0 * _cost(point) / len(problem.series))  # inf stays inf
     condition = float(np.linalg.cond(jac)) if jac is not None else math.inf
     result = FitResult(

@@ -94,9 +94,12 @@ class GeneralizedLogisticParams:
         _require(_finite(self.phi0) and self.phi0 >= 0,
                  f"need phi0 >= 0, got phi0={self.phi0}")
         object.__setattr__(self, "alpha", integral_alpha(self.alpha))
+        # phi0**alpha past float64 is above any finite a: a Python float
+        # raises OverflowError, a numpy one (quietly here) gives inf
         try:
-            damping = self.b * self.phi0 ** self.alpha
-        except OverflowError:  # phi0**alpha past float64: above any finite a
+            with np.errstate(over="ignore"):
+                damping = self.b * self.phi0 ** self.alpha
+        except OverflowError:
             damping = math.inf
         if self.a < damping:
             raise ParameterError(
@@ -148,8 +151,11 @@ def _dlog_dtheta(params, t):
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if (arr < 0).any():
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    negative = arr < 0
+    if negative.any():
+        i = int(np.argmax(negative))  # the first, in flat order
+        where = f" at index {i}" if arr.ndim else ""
+        raise DomainError(f"time must be >= 0, got {float(arr.flat[i])!r}{where}")
     return arr, arr.ndim == 0
 
 
@@ -236,18 +242,21 @@ def terminal_value(params):
 
     SaturatingLinearParams: a/b.  GeneralizedLogisticParams: (a/b)**(1/alpha)
     for alpha >= 1; for alpha = 0, None when a > b and phi0 when a == b (the
-    constant solution).  PowerLawParams: None.  Any other object raises
+    constant solution).  PowerLawParams: None.  A level outside float64 range
+    raises DomainError, as the evaluators do; any other object raises
     ParameterError.
     """
     if isinstance(params, SaturatingLinearParams):
-        return params.a / params.b
-    if isinstance(params, GeneralizedLogisticParams):
-        if params.alpha >= 1:
-            return (params.a / params.b) ** (1.0 / params.alpha)
-        return params.phi0 if params.a == params.b else None
-    if isinstance(params, PowerLawParams):
+        level = params.a / params.b
+    elif isinstance(params, GeneralizedLogisticParams):
+        if params.alpha == 0:
+            return params.phi0 if params.a == params.b else None
+        level = (params.a / params.b) ** (1.0 / params.alpha)
+    elif isinstance(params, PowerLawParams):
         return None
-    raise ParameterError(f"no terminal value defined for {type(params).__name__}")
+    else:
+        raise ParameterError(f"no terminal value defined for {type(params).__name__}")
+    return _in_range(params, level, True)
 
 
 def early_time_approx(params: SaturatingLinearParams, t):

@@ -174,11 +174,16 @@ class TestSimulate:
         (["--model", "power", "--t-min=-1e308", "--t-max", "1e308"],
          "got 1e+308 - -1e+308"),  # both finite, but the span overflows
         (["--model", "logistic", "--alpha", "3", "--phi0", "1e200"], "b*phi0**alpha=inf"),
+        # the level (a/b)**(1/alpha) overflows though every value is finite
+        (["--model", "logistic", "--a", "1", "--b", "1e-310", "--phi0", "0.03",
+          "--t-max", "5", "--points", "3"], "leaves float64 range"),
+        (["--model", "power", "--t-min=-1"], "got -1.0 at index 0"),
     ])
     def test_out_of_range_inputs_exit_2(self, tmp_path, capsys, flags, message):
         assert main(["simulate", *flags, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_determinism(self, tmp_path, capsys):

@@ -214,7 +214,7 @@ class TestFixedPointDescent:
 
         theta, point, iters, converged, jac = fitting._lm_once(
             residual, lambda theta, _: np.eye(2), start, residual(start),
-            (-math.inf, math.inf), 1e-10, 50)
+            1e-10, 50)
         assert (iters, converged) == (1, False)
         np.testing.assert_array_equal(theta, start)
         np.testing.assert_array_equal(point[0], [-2.0, -1.0])

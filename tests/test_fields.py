@@ -6,6 +6,7 @@ the finite-difference code was written.
 """
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ class TestCharacteristicSolution:
                          for t in t_grid])
         slope, _ = np.polyfit(np.log(t_grid), np.log(vals), 1)
         assert slope == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("c,x,t", [(1.0, 200.0, 1e-8), (1.0, 200.0, 1e-300),
+                                       (1.0, 50.0, 10.0), (2.0, 1.0, 0.3),
+                                       (0.5, 120.0, 2500.0), (1.0, 2.0, 1.0e7)])
+    def test_root_brackets_a_sign_change_with_a_neighbour(self, c, x, t):
+        # The returned root and one adjacent float straddle the sign change of
+        # the computed residual, unless the root is the bracket end sqrt(2/x).
+        # At tiny t the residual's rounding floor (~1e-16 * 2/x) swamps roots
+        # of order t/x**2, so only the bracket, not a value, is checked there.
+        def g(phi):
+            return fields._char_residual(phi, c, x, t)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            root = euler_characteristic_phi(AdvectionSetup(c=c), x, t)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.1
+        assert 0.0 < root <= math.sqrt(2.0 / x)
+        up, down = math.nextafter(root, math.inf), math.nextafter(root, -math.inf)
+        assert (root == math.sqrt(2.0 / x) or g(root) <= 0.0 < g(up)
+                or g(down) <= 0.0 < g(root))
 
     def test_position_outside_domain_rejected(self):
         with pytest.raises(DomainError):

@@ -80,16 +80,6 @@ class TestFitProblemValidation:
         with pytest.raises(ValidationError, match="guess for a must be > 0"):
             FitProblem(_series([1, 2, 3, 4], [1, 2, 3, 4]), POWER_LAW, (-1.0, 0.5))
 
-    def test_guess_outside_bounds(self):
-        with pytest.raises(ValidationError):
-            FitProblem(_series([1, 2, 3, 4], [1, 2, 3, 4]), POWER_LAW,
-                       (5.0, 1.0), bounds=((0.1, 2.0), (0.1, 3.0)))
-
-    def test_inverted_bounds(self):
-        with pytest.raises(ValidationError):
-            FitProblem(_series([1, 2, 3, 4], [1, 2, 3, 4]), POWER_LAW,
-                       (1.0, 1.0), bounds=((2.0, 0.1), (0.1, 3.0)))
-
 
 class TestNoiselessRecovery:
     def test_power_law(self):
@@ -137,13 +127,6 @@ class TestNoiselessRecovery:
         assert result.params == pytest.approx((2.0, 0.7), rel=1e-8)
         assert result.loss_space == LOSS_LOG
 
-    def test_bounded_fit_still_recovers(self):
-        t = np.linspace(0.2, 6.0, 40)
-        problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW,
-                             (1.0, 1.0), bounds=((0.1, 10.0), (0.1, 3.0)))
-        result = fit(problem)
-        assert result.params == pytest.approx((2.0, 0.7), rel=1e-6)
-
     def test_diagnostics_populated(self):
         t = np.linspace(0.2, 6.0, 40)
         result = fit(FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1.0, 1.0)))
@@ -172,6 +155,18 @@ class TestFitFailureModes:
         with pytest.raises(RankDeficiencyError):
             fit(FitProblem(_series([1, 2, 3, 4], [3.0, 3.0, 3.0, 3.0]),
                            POWER_LAW, (1.0, 1.0)))
+
+    def test_all_zero_series_rank_deficient(self):
+        with pytest.raises(RankDeficiencyError):
+            fit(FitProblem(_series([1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0]),
+                           SATURATING_LINEAR, (1.0, 1.0)))
+
+    def test_tiny_but_varying_series_fits(self):
+        # the constant-series test is relative to the data's scale
+        t = np.linspace(1.0, 10.0, 50)
+        result = fit(FitProblem(_series(t, 2e-14 * t ** 1.5), POWER_LAW, (1.0, 1.0),
+                                loss_space=LOSS_LOG))
+        assert result.params == pytest.approx((2e-14, 1.5), rel=1e-8)
 
     def test_starved_iterations_report_best_attempt(self):
         t = np.linspace(0.2, 6.0, 40)

@@ -48,6 +48,15 @@ class TestPowerLaw:
         with pytest.raises(DomainError):
             eval_power_law(PowerLawParams(a=1, beta=1), -0.5)
 
+    def test_negative_time_message_names_the_first_one(self):
+        p = PowerLawParams(a=1, beta=1)
+        with pytest.raises(DomainError) as info:
+            eval_power_law(p, np.concatenate(([0.0, 1.0, -2.5, -3.0], np.ones(500))))
+        assert str(info.value) == "time must be >= 0, got -2.5 at index 2"
+        with pytest.raises(DomainError) as info:
+            eval_power_law(p, np.float64(-0.5))
+        assert str(info.value) == "time must be >= 0, got -0.5"
+
     def test_zero_time_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             eval_power_law(PowerLawParams(a=1, beta=-0.5), 0.0)
@@ -212,6 +221,14 @@ class TestLogisticFamily:
         with pytest.raises(ParameterError, match=r"b\*phi0\*\*alpha=inf"):
             GeneralizedLogisticParams(a=5, b=1, alpha=3, phi0=1e200)
 
+    def test_numpy_start_whose_power_overflows_is_refused_quietly(self):
+        # a numpy phi0 overflows to inf rather than raising: the same refusal,
+        # and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match=r"b\*phi0\*\*alpha=inf"):
+                GeneralizedLogisticParams(a=5, b=1, alpha=3, phi0=np.float64(1e200))
+
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(ParameterError):
             GeneralizedLogisticParams(a=5, b=1, alpha=1.5, phi0=1)
@@ -348,6 +365,15 @@ class TestTerminalLevel:
         # a == b with alpha = 0: the solution is the constant phi0
         p = GeneralizedLogisticParams(a=2, b=2, alpha=0, phi0=0.5)
         assert terminal_value(p) == 0.5
+
+    @pytest.mark.parametrize("params", [
+        SaturatingLinearParams(a=1e300, b=1e-300),
+        GeneralizedLogisticParams(a=1, b=1e-310, alpha=1, phi0=0.03)])
+    def test_level_outside_float64_raises(self, params):
+        # the evaluators' range rule: DomainError naming the record, not inf
+        with pytest.raises(DomainError) as info:
+            terminal_value(params)
+        assert str(info.value) == f"{params!r} leaves float64 range"
 
     @pytest.mark.parametrize("obj", [None, 3.0, models.FAMILIES])
     def test_non_record_raises(self, obj):

@@ -1,4 +1,6 @@
 """Package surface: the derived ``__all__`` lists every public object."""
+import dataclasses
+import inspect
 import types
 
 import growthdyn
@@ -30,6 +32,60 @@ PUBLIC_NAMES = [
     "terminal_value",
 ]
 
+# parameter names of every public function, field names of every public record
+PUBLIC_PARAMETERS = {
+    "AdvectionSetup": ("c", "phi0", "x_min", "x_max", "n_cells", "cfl"),
+    "AutonomousSystem": ("dimension", "rhs"),
+    "ClassifierVerdict": ("verdict", "estimate", "r2_exponential", "r2_power_law",
+                          "n_points"),
+    "CompetitionParams": ("a1", "a2", "d1", "d2", "b", "c"),
+    "DiffusionParams": ("delta",),
+    "EigenClassification": ("eigenvalues", "classification", "trace", "determinant"),
+    "ExclusionVerdict": ("verdict", "survivor_limit", "ratio"),
+    "FieldSnapshot": ("t", "x_grid", "phi"),
+    "FitProblem": ("series", "model", "initial_guess", "loss_space", "alpha"),
+    "FitResult": ("params", "param_names", "rmse", "iterations", "converged",
+                  "terminal_forecast", "jacobian_condition", "model", "loss_space",
+                  "alpha"),
+    "FixedPoint2D": ("s_c", "r_c", "residual_norm"),
+    "GeneralizedLogisticParams": ("a", "b", "alpha", "phi0"),
+    "OnsetEstimate": ("half_terminal_time", "terminal_value", "crude_scale"),
+    "PowerLawParams": ("a", "beta"),
+    "SaturatingLinearParams": ("a", "b"),
+    "StabilityReport": ("fixed_point", "jacobian", "eigenvalues", "classification",
+                        "trace", "determinant"),
+    "TimeSeries": ("times", "values", "label", "kind"),
+    "Trajectory": ("times", "states", "meta"),
+    "characteristic_energy": ("state",),
+    "characteristic_particle_system": (),
+    "classify": ("jacobian",),
+    "competition_system": ("params",),
+    "coupled_logistic_demo": ("a_r", "b_r", "e_rs", "a_s", "b_s", "e_sr"),
+    "cumulate": ("s",),
+    "diffusion_point_source": ("p", "x", "t"),
+    "early_growth_classifier": ("series", "window"),
+    "early_time_approx": ("params", "t"),
+    "emit_plot_series": ("series", "axes", "out", "format"),
+    "euler_characteristic_phi": ("setup", "x", "t"),
+    "euler_terminal_profile": ("setup", "x"),
+    "eval_logistic_family": ("params", "t"),
+    "eval_power_law": ("params", "t"),
+    "eval_saturating_linear": ("params", "t"),
+    "evolve_advection_fd": ("setup", "t_end", "snapshot_times"),
+    "exclusion_verdict": ("params",),
+    "find_fixed_point": ("system", "guess", "tol", "max_iter"),
+    "fit": ("problem", "tol", "max_iter"),
+    "integrate_adaptive": ("system", "y0", "t0", "t1", "rel_tol", "abs_tol"),
+    "integrate_fixed": ("system", "y0", "t0", "t1", "dt"),
+    "interp_states": ("trajectory", "times"),
+    "linearize": ("system", "point"),
+    "probe_series": ("snapshots", "x_probe"),
+    "read_csv": ("source", "time_col", "value_col", "label", "kind"),
+    "saturation_onset": ("series", "fitted"),
+    "stability_report": ("system", "guess", "tol"),
+    "terminal_value": ("params",),
+}
+
 
 def test_all_names_resolve_and_none_is_a_module():
     assert "__version__" in growthdyn.__all__
@@ -41,3 +97,15 @@ def test_all_names_resolve_and_none_is_a_module():
 def test_public_surface_is_pinned():
     # Adding or removing a public name shows up as an edit here.
     assert sorted(growthdyn.__all__) == PUBLIC_NAMES
+
+
+def test_public_parameters_are_pinned():
+    # Adding or removing an option or a record field shows up as an edit here.
+    found = {}
+    for name in growthdyn.__all__:
+        obj = getattr(growthdyn, name)
+        if dataclasses.is_dataclass(obj):
+            found[name] = tuple(f.name for f in dataclasses.fields(obj))
+        elif inspect.isfunction(obj):
+            found[name] = tuple(inspect.signature(obj).parameters)
+    assert found == PUBLIC_PARAMETERS
