@@ -41,9 +41,9 @@ SPECIES_1_SURVIVES = "species-1-survives"
 SPECIES_2_SURVIVES = "species-2-survives"
 MARGINAL = "marginal"
 
-_DET_TOL = 1e-12     # |det| below this is treated as singular
+_DET_TOL = 1e-12     # |det| below this times s**2 is singular (s: largest |entry|)
 _DESCENT_TOL = 1e-12  # fixed-point descent stop; tol itself bounds |rhs| afterwards
-_REPEAT_TOL = 1e-9   # eigenvalue gap below this counts as repeated
+_REPEAT_TOL = 1e-9   # an eigenvalue gap below this times s counts as repeated
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,12 @@ def linearize(system: AutonomousSystem, point) -> tuple:
 def classify(jacobian) -> EigenClassification:
     """Eigenvalues and stability label of a 2x2 Jacobian (A, B, C, D).
 
-    Labels follow the trace/determinant taxonomy.  "degenerate" covers a
-    determinant that vanishes within 1e-12 and repeated eigenvalues (within
-    1e-9) on a defective matrix; a scalar matrix (B = C = 0, A = D) is a
-    proper star and keeps its node label.
+    Labels follow the trace/determinant taxonomy, with tolerances relative
+    to the largest entry magnitude s, so a system's label does not depend on
+    its time unit.  "degenerate" covers a determinant within 1e-12*s**2 of 0
+    and repeated eigenvalues (within 1e-9*s) on a defective matrix; a scalar
+    matrix (B = C = 0, A = D) is a proper star and keeps its node label.  A
+    focus whose trace is within 1e-9*s of 0 is a center.
     """
     a, b, c, d = (float(v) for v in jacobian)
     for v in (a, b, c, d):
@@ -189,24 +191,22 @@ def classify(jacobian) -> EigenClassification:
     root = cmath.sqrt(complex(disc, 0.0))
     lam1 = 0.5 * (tr + root)
     lam2 = 0.5 * (tr - root)
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    close = _REPEAT_TOL * scale
 
-    if abs(det) <= _DET_TOL:
+    if abs(det) <= _DET_TOL * scale * scale:
         label = DEGENERATE
     elif det < 0:
         label = SADDLE
-    elif abs(lam1 - lam2) <= _REPEAT_TOL:
+    elif abs(lam1 - lam2) <= close:
         # Repeated eigenvalues: a (near-)scalar matrix is a proper star node;
         # anything else is defective and lands in the degenerate bucket.
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        near_scalar = (abs(b) <= _REPEAT_TOL * scale
-                       and abs(c) <= _REPEAT_TOL * scale
-                       and abs(a - d) <= _REPEAT_TOL * scale)
-        if near_scalar:
+        if abs(b) <= close and abs(c) <= close and abs(a - d) <= close:
             label = STABLE_NODE if tr < 0 else UNSTABLE_NODE
         else:
             label = DEGENERATE
     elif disc < 0:
-        if abs(tr) <= _REPEAT_TOL:
+        if abs(tr) <= close:
             label = CENTER
         elif tr < 0:
             label = STABLE_FOCUS

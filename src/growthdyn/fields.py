@@ -137,7 +137,11 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
     to adjacent floats, so the root and one of its neighbours bracket the sign
     change of the computed g.  The relation describes growth from the
     globally flat zero start; at t = 0 the root is exactly 0 and as t grows
-    it rises monotonically toward sqrt(2/x), independently of c.
+    it rises monotonically toward sqrt(2/x), independently of c.  That rise
+    from exactly 0 holds only where c**2*x >= 2, a known limit: elsewhere
+    g'(0) = (2/x)(c*x - 2/c) < 0, so for any t > 0 the only sign change on
+    the branch is the far root, and the value jumps at t = 0 (to 0.79 at
+    x = c = 1, even at t = 1e-300).
     """
     if not setup.x_min <= x <= setup.x_max:
         raise DomainError(

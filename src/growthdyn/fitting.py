@@ -6,9 +6,10 @@ damping coefficients, initial levels) are optimized as their natural logs,
 while the power-law exponent stays linear.  Residuals are taken either in
 value space or in log space, per the problem's loss_space, and differentiated
 in closed form (models).  One descent runs per fit, from the lowest-cost point
-of a fixed lattice around the caller's guess, and stops when the parameters
-or the cost stop changing, so repeated calls on the same problem return
-identical results; dynsys finds fixed points with the same descent.
+of a fixed lattice around the caller's guess (scored in one broadcast
+evaluation), and stops when the parameters or the cost stop changing, so
+repeated calls on the same problem return identical results; dynsys finds
+fixed points with the same descent.
 Parameter names, records and evaluation come from the family table in
 models, terminal levels from models.terminal_value.
 
@@ -29,7 +30,7 @@ from .dataio import TimeSeries
 from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
-                     SaturatingLinearParams, _dlog_dtheta, evaluate,
+                     SaturatingLinearParams, _closed_form, _dlog_dtheta, evaluate,
                      fitted_names, integral_alpha, make_record, terminal_value)
 
 LOSS_LINEAR = "linear"
@@ -172,6 +173,25 @@ def _cost(point):
         return 0.5 * float(point[0] @ point[0])
 
 
+def _lattice_costs(problem, is_log, thetas):
+    """_cost(residual(theta)) for every row of thetas in one broadcast
+    evaluation, inf wherever residual would refuse the row: a parameter that
+    is not finite, a rate a or b at or below 0 (phi0 may underflow to 0), a
+    value outside float64 range or below the logistic growth regime, or a
+    value <= 0 under log loss."""
+    y = problem.series.values
+    with np.errstate(all="ignore"):
+        p = np.where(is_log, np.exp(thetas), thetas)
+        rate = np.array([name in ("a", "b") for name in fitted_names(problem.model)])
+        ok = np.isfinite(p).all(axis=1) & ~((p <= 0) & rate).any(axis=1)
+        yhat = _closed_form(problem.model, p.T[:, :, None], problem.series.times,
+                            problem.alpha)
+        ok &= np.isfinite(yhat).all(axis=1)
+        # no family takes a negative value, and the log of a 0 makes the cost inf
+        r = np.log(yhat) - np.log(y) if problem.loss_space == LOSS_LOG else yhat - y
+        return np.where(ok, 0.5 * np.einsum("ij,ij->i", r, r), math.inf)
+
+
 def _lm_once(residual, jacobian, theta, point, tol, max_iter):
     """Levenberg-Marquardt from theta, where point = residual(theta).
 
@@ -229,17 +249,18 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
 
     The descent starts from the lowest-cost point of the lattice
     guess + 1.5*{0, -1, 1}^n in the optimized coordinates (logs of positive
-    parameters); the guess itself wins ties.  The Jacobian is analytic, so
-    the model is evaluated 3^n times for the lattice, then once per trial
-    step.  The descent converges when the relative parameter update and the
-    gradient both fall below tol, or when an accepted step cuts the cost by
-    at most max(tol**2, float64 epsilon) relative, both actually and as
-    linearized (the stop for data at its noise floor), and the last Jacobian
-    it used is not singular.  Otherwise NonConvergenceError carries the last
-    iterate as ``best``; a constant series (range at most 1e-12 times its
-    largest magnitude) raises RankDeficiencyError up front.  For the
-    logistic family with alpha = 0 the model is phi0*exp((a - b) t): only
-    a - b and phi0 are identifiable.
+    parameters); the guess itself wins ties.  The lattice is scored in one
+    broadcast evaluation of the family's closed form, and the Jacobian is
+    analytic, so the model is then evaluated once at the lattice's best
+    point and once per trial step.  The descent converges when the relative
+    parameter update and the gradient both fall below tol, or when an
+    accepted step cuts the cost by at most max(tol**2, float64 epsilon)
+    relative, both actually and as linearized (the stop for data at its
+    noise floor), and the last Jacobian it used is not singular.  Otherwise
+    NonConvergenceError carries the last iterate as ``best``; a constant
+    series (range at most 1e-12 times its largest magnitude) raises
+    RankDeficiencyError up front.  For the logistic family with alpha = 0
+    the model is phi0*exp((a - b) t): only a - b and phi0 are identifiable.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -253,12 +274,11 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     is_log = _theta_is_log(problem.model)
     residual, jacobian = _residual_fn(problem, is_log)
     theta0 = _to_theta(problem.initial_guess, is_log)
-    lattice = []  # (cost, theta, point); the zero offset first, so min keeps the guess on ties
-    for offset in itertools.product((0.0, -1.0, 1.0), repeat=theta0.size):
-        theta = theta0 + _LATTICE_STEP * np.array(offset)
-        point = residual(theta)
-        lattice.append((_cost(point), theta, point))
-    _, theta, point = min(lattice, key=lambda entry: entry[0])
+    # the zero offset first, so argmin keeps the guess on ties
+    lattice = theta0 + _LATTICE_STEP * np.array(
+        list(itertools.product((0.0, -1.0, 1.0), repeat=theta0.size)))
+    theta = lattice[int(np.argmin(_lattice_costs(problem, is_log, lattice)))]
+    point = residual(theta)
     theta, point, iters, converged, jac = _lm_once(
         residual, jacobian, theta, point, tol, max_iter)
     rmse = math.sqrt(2.0 * _cost(point) / len(problem.series))  # inf stays inf

@@ -167,6 +167,34 @@ def _in_range(params, out, scalar):
     return float(out) if scalar else out
 
 
+def _closed_form(family, p, t, alpha=None):
+    """A family's closed form at times t (an array), p its fitted parameters
+    in fitted_names order: floats, or (m, 1) columns of m parameter sets at
+    once, alpha a Python int either way.  A logistic set below the growth
+    regime (a < b*phi0**alpha) reads NaN, and any other value outside
+    float64 range comes back non-finite, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        if family == POWER_LAW:
+            a, beta = p
+            return a * np.power(t, beta)
+        if family == SATURATING_LINEAR:
+            a, b = p
+            return -(a / b) * np.expm1(-b * np.minimum(t, _EXP_MAX / b))
+        a, b, phi0 = p
+        damping = b * phi0 ** alpha
+        if alpha == 0:  # a float takes math.log, whose bits np.log does not always match
+            log_phi0 = (np.log(phi0) if np.ndim(phi0) else
+                        math.log(phi0) if phi0 > 0 else -math.inf)
+            out = np.exp((a - b) * t + log_phi0)
+        else:
+            r = damping / a
+            out = phi0 / (r + (1.0 - r) * np.exp(-alpha * a * t)) ** (1.0 / alpha)
+        # a start on a fixed point (phi0 = 0, or a == b*phi0**alpha) stays there
+        out = np.where((phi0 == 0) | (a == damping), phi0, out)
+        return np.where(a < damping, np.nan, out)
+
+
 def eval_power_law(params: PowerLawParams, t):
     """Evaluate a*t**beta.  t may be a scalar or an array, t >= 0.
 
@@ -176,9 +204,7 @@ def eval_power_law(params: PowerLawParams, t):
     arr, scalar = _as_times(t)
     if params.beta < 0 and (arr == 0).any():
         raise DomainError("t = 0 with beta < 0 diverges")
-    with np.errstate(all="ignore"):
-        out = params.a * np.power(arr, params.beta)
-    return _in_range(params, out, scalar)
+    return _in_range(params, _closed_form(POWER_LAW, (params.a, params.beta), arr), scalar)
 
 
 def eval_saturating_linear(params: SaturatingLinearParams, t):
@@ -189,10 +215,8 @@ def eval_saturating_linear(params: SaturatingLinearParams, t):
     cannot overflow.
     """
     arr, scalar = _as_times(t)
-    a, b = params.a, params.b
-    with np.errstate(all="ignore"):
-        out = -(a / b) * np.expm1(-b * np.minimum(arr, _EXP_MAX / b))
-    return _in_range(params, out, scalar)
+    return _in_range(params, _closed_form(SATURATING_LINEAR, (params.a, params.b), arr),
+                     scalar)
 
 
 def eval_logistic_family(params: GeneralizedLogisticParams, t):
@@ -212,15 +236,7 @@ def eval_logistic_family(params: GeneralizedLogisticParams, t):
     overflows (or r underflows, and the exponential with it).
     """
     arr, scalar = _as_times(t)
-    a, b, al, phi0 = params.a, params.b, params.alpha, params.phi0
-    with np.errstate(all="ignore"):
-        if phi0 == 0 or a == b * phi0 ** al:
-            out = np.full_like(arr, phi0)
-        elif al == 0:
-            out = np.exp((a - b) * arr + math.log(phi0))
-        else:
-            r = b * phi0 ** al / a
-            out = phi0 / (r + (1.0 - r) * np.exp(-al * a * arr)) ** (1.0 / al)
+    out = _closed_form(LOGISTIC_FAMILY, (params.a, params.b, params.phi0), arr, params.alpha)
     return _in_range(params, out, scalar)
 
 

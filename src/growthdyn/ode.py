@@ -101,22 +101,23 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     times[0] = t0
     states[0] = y
     rhs = system.rhs
-    k1 = _eval_rhs(system, y, t0)
-    for i in range(n_steps):
-        t = t0 + i * dt
-        h = dt if i < n_steps - 1 else t1 - t
-        if i:
-            k1 = np.asarray(rhs(y), dtype=float)
-        k2 = np.asarray(rhs(y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(y + h * k3), dtype=float)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y_new).all():
-            raise NumericalError(
-                f"non-finite state after the step from t={t!r}, state={y.tolist()!r}")
-        y = y_new
-        times[i + 1] = t0 + (i + 1) * dt
-        states[i + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch inf/NaN
+        k1 = _eval_rhs(system, y, t0)
+        for i in range(n_steps):
+            t = t0 + i * dt
+            h = dt if i < n_steps - 1 else t1 - t
+            if i:
+                k1 = np.asarray(rhs(y), dtype=float)
+            k2 = np.asarray(rhs(y + 0.5 * h * k1), dtype=float)
+            k3 = np.asarray(rhs(y + 0.5 * h * k2), dtype=float)
+            k4 = np.asarray(rhs(y + h * k3), dtype=float)
+            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y_new).all():
+                raise NumericalError(
+                    f"non-finite state after the step from t={t!r}, state={y.tolist()!r}")
+            y = y_new
+            times[i + 1] = t0 + (i + 1) * dt
+            states[i + 1] = y
     times[-1] = t1
     return Trajectory(times=times, states=states,
                       meta={"method": "rk4", "dt": dt, "n_steps": n_steps})
@@ -143,47 +144,48 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     t = t0
     h = span / 100.0
     h_min = _UNDERFLOW_FRACTION * span
-    k1 = _eval_rhs(system, y, t)  # FSAL: reused across accepted steps
-    n_accept = n_reject = 0
-    while t < t1:
-        if n_accept + n_reject == _MAX_STEPS:
-            raise NumericalError(
-                f"adaptive integration used its budget of {_MAX_STEPS} steps "
-                f"at t={t!r} of t1={t1!r}")
-        h = min(h, t1 - t)
-        if h < h_min:
-            raise StiffnessError(
-                f"step size underflow at t={t!r} (h={h!r} < {h_min!r}); "
-                f"{n_accept} accepted / {n_reject} rejected steps so far")
-        ks = [k1]
-        err = math.inf
-        for row in _DP_A[1:]:
-            y5 = y + h * sum(a_ij * k for a_ij, k in zip(row, ks))
-            k7 = np.asarray(system.rhs(y5), dtype=float)
-            if not np.isfinite(k7).all():
-                break
-            ks.append(k7)
-        else:  # y5 and k7 now hold the last row's stage
-            if np.isfinite(y5).all():
-                err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-                err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        if not math.isfinite(err):
-            h *= 0.2
-            n_reject += 1
-            continue
-        if err <= 1.0:
-            t = t1 if (t1 - t - h) <= 1e-15 * span else t + h
-            y = y5
-            k1 = k7  # first-same-as-last
-            times.append(t)
-            states.append(y.copy())
-            n_accept += 1
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h *= grow
-        else:
-            n_reject += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch inf/NaN
+        k1 = _eval_rhs(system, y, t)  # FSAL: reused across accepted steps
+        n_accept = n_reject = 0
+        while t < t1:
+            if n_accept + n_reject == _MAX_STEPS:
+                raise NumericalError(
+                    f"adaptive integration used its budget of {_MAX_STEPS} steps "
+                    f"at t={t!r} of t1={t1!r}")
+            h = min(h, t1 - t)
+            if h < h_min:
+                raise StiffnessError(
+                    f"step size underflow at t={t!r} (h={h!r} < {h_min!r}); "
+                    f"{n_accept} accepted / {n_reject} rejected steps so far")
+            ks = [k1]
+            err = math.inf
+            for row in _DP_A[1:]:
+                y5 = y + h * sum(a_ij * k for a_ij, k in zip(row, ks))
+                k7 = np.asarray(system.rhs(y5), dtype=float)
+                if not np.isfinite(k7).all():
+                    break
+                ks.append(k7)
+            else:  # y5 and k7 now hold the last row's stage
+                if np.isfinite(y5).all():
+                    err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
+                    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+                    err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+            if not math.isfinite(err):
+                h *= 0.2
+                n_reject += 1
+                continue
+            if err <= 1.0:
+                t = t1 if (t1 - t - h) <= 1e-15 * span else t + h
+                y = y5
+                k1 = k7  # first-same-as-last
+                times.append(t)
+                states.append(y.copy())
+                n_accept += 1
+                grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+                h *= grow
+            else:
+                n_reject += 1
+                h *= max(0.2, 0.9 * err ** -0.2)
     times_arr = np.array(times)
     times_arr[-1] = t1
     return Trajectory(times=times_arr, states=np.array(states),

@@ -487,6 +487,19 @@ class TestCompete:
         assert "non-positive abscissa 0.0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("a1", ["1e12", "1e-12"])
+    def test_overflowing_rates_end_typed_without_a_warning(self, tmp_path, a1):
+        # the rhs overflows on the first trial steps; the integrator rejects
+        # them until its step underflows, and no RuntimeWarning leaks first
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthdyn", "compete", "--a1", a1, "--a2", "1",
+             "--d1", "1", "--d2", "1", "--b", "1", "--c", "1",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: step size underflow")
+        assert "Warning" not in proc.stderr
+
 
 class TestPde:
     def test_small_run_artifacts(self, tmp_path, capsys):

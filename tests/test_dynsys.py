@@ -110,6 +110,27 @@ class TestClassify:
         scaled = tuple(k * v for v in jac)
         assert classify(jac).classification == classify(scaled).classification
 
+    @pytest.mark.parametrize("jac, expected", [
+        ((-1.0, 0.0, 0.0, -2.0), STABLE_NODE),
+        ((-1.0, 0.5, 0.0, -1.2), STABLE_NODE),
+        ((0.1, -1.0, 1.0, 0.1), UNSTABLE_FOCUS),
+        ((-1.0, -3.0, 1.0, -1.0), STABLE_FOCUS),
+        ((0.0, 1.0, -1.0, 0.0), CENTER),
+        ((1.0, 1.0, 0.0, 1.0), DEGENERATE),
+        ((1.0, 0.0, 0.0, 0.0), DEGENERATE),
+    ])
+    @pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-7, 1e-3, 1e3, 1e6])
+    def test_label_is_free_of_the_time_unit(self, jac, expected, k):
+        assert classify(tuple(k * v for v in jac)).classification == expected
+
+    def test_slow_system_keeps_its_label(self):
+        # the demo with every rate 1e-9 times smaller has the same fixed point
+        # (2, 2) and eigenvalues -1e-9 and -3e-9
+        system = coupled_logistic_demo(1e-9, 1e-9, 0.5e-9, 1e-9, 1e-9, 0.5e-9)
+        report = stability_report(system, (2.1, 1.9))
+        assert (report.fixed_point.s_c, report.fixed_point.r_c) == (2.0, 2.0)
+        assert report.classification == STABLE_NODE
+
 
 class TestStabilityReport:
     def test_logistic_pair_summary(self):
