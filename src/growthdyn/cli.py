@@ -239,8 +239,6 @@ def cmd_fit(args):
 # ----------------------------------------------------------------- analyze
 
 def cmd_analyze(args):
-    if args.demo != "coupled-logistic":
-        raise ValidationError(f"unknown demo system {args.demo!r}")
     rates = args.rates
     if len(rates) != 6:
         raise ValidationError(
@@ -251,7 +249,7 @@ def cmd_analyze(args):
         raise ValidationError("--guess takes 2 comma-separated values: x,y")
     report = dynsys.stability_report(system, guess, tol=args.tol)
     return [], {
-        "demo": args.demo,
+        "demo": "coupled-logistic",
         "rates": dict(zip(("aR", "bR", "eRS", "aS", "bS", "eSR"), rates)),
         **dataclasses.asdict(report),
     }
@@ -291,8 +289,6 @@ def cmd_compete(args):
 
 def cmd_pde(args):
     setup = _record(fields.AdvectionSetup, args)
-    if not args.t_end > 0:
-        raise ValidationError(f"--t-end must be > 0, got {args.t_end}")
     # The snapshot grid is geometric from t_end*1e-5, which must not underflow.
     if not (math.isfinite(args.t_end) and args.t_end * 1e-5 > 0):
         raise ValidationError(f"--t-end must be finite with t_end*1e-5 > 0, got {args.t_end}")
@@ -440,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid size for the fitted overlay curve")
 
     p = sub("analyze", cmd_analyze, help="fixed-point stability report")
-    p.add_argument("--demo", default="coupled-logistic")
     p.add_argument("--rates", type=_float_list,
                    default=[1.0, 1.0, 0.5, 1.0, 1.0, 0.5],
                    help="aR,bR,eRS,aS,bS,eSR for the demo system")

@@ -171,49 +171,58 @@ def linearize(system: AutonomousSystem, point) -> tuple:
     return (float(jac[0, 0]), float(jac[0, 1]), float(jac[1, 0]), float(jac[1, 1]))
 
 
+def _spectrum(a, b, c, d):
+    """Trace, determinant, discriminant and eigenvalue pair of (A, B, C, D)."""
+    tr = a + d
+    det = a * d - b * c
+    disc = tr * tr - 4.0 * det
+    root = cmath.sqrt(complex(disc, 0.0))
+    return tr, det, disc, 0.5 * (tr + root), 0.5 * (tr - root)
+
+
+def _label(a, b, c, d):
+    """Taxonomy label, with tolerances relative to the largest |entry|."""
+    tr, det, disc, lam1, lam2 = _spectrum(a, b, c, d)
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    close = _REPEAT_TOL * scale
+    if abs(det) <= _DET_TOL * scale * scale:
+        return DEGENERATE
+    if det < 0:
+        return SADDLE
+    if abs(lam1 - lam2) <= close:
+        # Repeated eigenvalues: a (near-)scalar matrix is a proper star node;
+        # anything else is defective and lands in the degenerate bucket.
+        if abs(b) <= close and abs(c) <= close and abs(a - d) <= close:
+            return STABLE_NODE if tr < 0 else UNSTABLE_NODE
+        return DEGENERATE
+    if disc < 0:
+        if abs(tr) <= close:
+            return CENTER
+        return STABLE_FOCUS if tr < 0 else UNSTABLE_FOCUS
+    return STABLE_NODE if tr < 0 else UNSTABLE_NODE
+
+
 def classify(jacobian) -> EigenClassification:
     """Eigenvalues and stability label of a 2x2 Jacobian (A, B, C, D).
 
     Labels follow the trace/determinant taxonomy, with tolerances relative
-    to the largest entry magnitude s, so a system's label does not depend on
-    its time unit.  "degenerate" covers a determinant within 1e-12*s**2 of 0
-    and repeated eigenvalues (within 1e-9*s) on a defective matrix; a scalar
-    matrix (B = C = 0, A = D) is a proper star and keeps its node label.  A
-    focus whose trace is within 1e-9*s of 0 is a center.
+    to the largest entry magnitude s.  "degenerate" covers a determinant
+    within 1e-12*s**2 of 0 and repeated eigenvalues (within 1e-9*s) on a
+    defective matrix; a scalar matrix (B = C = 0, A = D) is a proper star
+    and keeps its node label.  A focus whose trace is within 1e-9*s of 0 is
+    a center.  The label is scale-free over the whole float range: it is
+    taken from the entries scaled by the power of two that brings s into
+    [0.5, 1), which is exact, so a system's label does not depend on its
+    time unit.  Trace, determinant and eigenvalues are reported unscaled,
+    and read inf, NaN or 0 where they leave float64.
     """
     a, b, c, d = (float(v) for v in jacobian)
     for v in (a, b, c, d):
         if not math.isfinite(v):
             raise ValidationError(f"Jacobian entries must be finite, got {jacobian!r}")
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4.0 * det
-    root = cmath.sqrt(complex(disc, 0.0))
-    lam1 = 0.5 * (tr + root)
-    lam2 = 0.5 * (tr - root)
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    close = _REPEAT_TOL * scale
-
-    if abs(det) <= _DET_TOL * scale * scale:
-        label = DEGENERATE
-    elif det < 0:
-        label = SADDLE
-    elif abs(lam1 - lam2) <= close:
-        # Repeated eigenvalues: a (near-)scalar matrix is a proper star node;
-        # anything else is defective and lands in the degenerate bucket.
-        if abs(b) <= close and abs(c) <= close and abs(a - d) <= close:
-            label = STABLE_NODE if tr < 0 else UNSTABLE_NODE
-        else:
-            label = DEGENERATE
-    elif disc < 0:
-        if abs(tr) <= close:
-            label = CENTER
-        elif tr < 0:
-            label = STABLE_FOCUS
-        else:
-            label = UNSTABLE_FOCUS
-    else:
-        label = STABLE_NODE if tr < 0 else UNSTABLE_NODE
+    tr, det, _, lam1, lam2 = _spectrum(a, b, c, d)
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    label = _label(*(math.ldexp(v, -e) for v in (a, b, c, d)))
     return EigenClassification(eigenvalues=(lam1, lam2), classification=label,
                                trace=tr, determinant=det)
 

@@ -141,28 +141,26 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
     from exactly 0 holds only where c**2*x >= 2, a known limit: elsewhere
     g'(0) = (2/x)(c*x - 2/c) < 0, so for any t > 0 the only sign change on
     the branch is the far root, and the value jumps at t = 0 (to 0.79 at
-    x = c = 1, even at t = 1e-300).
+    x = c = 1, even at t = 1e-300).  A negative or NaN t raises DomainError.
     """
     if not setup.x_min <= x <= setup.x_max:
         raise DomainError(
             f"x={x} outside the solver domain [{setup.x_min}, {setup.x_max}]")
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be >= 0, got {t}")
     if t == 0:
         return 0.0
     c = setup.c
     lo, hi = 0.0, math.sqrt(2.0 / x)
-    g_lo = _char_residual(lo, c, x, t)
-    g_hi = _char_residual(hi, c, x, t)
+    g_hi = _char_residual(hi, c, x, t)  # g(0) = (2/x)(exp(-c**3 t) - 1) <= 0 always
     if g_hi < 0.0 and abs(g_hi) <= 1e-9 * (2.0 / x):
         # Late times: the exponential term underflows and hi*hi - 2/x leaves
         # only rounding noise, so the root coincides with the bracket end.
         return hi
-    if not (g_lo <= 0.0 <= g_hi):
+    if not g_hi >= 0.0:
         raise RootNotFoundError(
             f"no sign change on [0, sqrt(2/x)] at x={x}, t={t}: "
-            f"g(0)={g_lo:.6e}, g(hi)={g_hi:.6e}; parameters lie outside "
-            "the solution branch")
+            f"g(hi)={g_hi:.6e}; parameters lie outside the solution branch")
     # Halve [lo, hi] until the midpoint rounds to one end: lo and hi are then
     # adjacent floats.  Each pass about halves the width, which starts below
     # 2**1024 and cannot fall below the smallest subnormal, 2**-1074, so a
@@ -208,18 +206,21 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     undershoots the x = 50 terminal magnitude by ~13% on the default domain.
 
     Snapshots are linearly interpolated in time between march steps and share
-    one read-only grid.  A march past _MAX_STEPS steps raises NumericalError:
-    before it starts when the acceleration bound or the advective bound at
-    phi0 implies that many, else when the budget runs out.
+    one read-only grid; one within 1e-12*t_end of 0 or of t_end is the initial
+    or the final field, a slack relative to t_end, so the march is scale-free.
+    A march past _MAX_STEPS steps raises NumericalError: before it starts when
+    the acceleration bound or the advective bound at phi0 implies that many,
+    else when the budget runs out.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be >= 0, got {t_end!r}")
+    tol = 1e-12 * t_end  # the one round-off slack in time
     req = [float(s) for s in snapshot_times]
     if not all(map(math.isfinite, req)):
         raise ValidationError(f"snapshot_times must be finite, got {req}")
     if any(b < a for a, b in zip(req, req[1:])):
         raise ValidationError("snapshot_times must be sorted ascending")
-    if req and (req[0] < 0 or req[-1] > t_end * (1.0 + 1e-12) + 1e-30):
+    if req and (req[0] < 0 or req[-1] > t_end + tol):
         raise ValidationError(
             f"snapshot_times must lie within [0, {t_end}], got {req[0]}..{req[-1]}")
 
@@ -242,7 +243,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     t = 0.0
     # Snapshots at t = 0 (within round-off) are the initial field.
     snapshots = [FieldSnapshot(t=s, x_grid=x, phi=phi.copy())
-                 for s in itertools.takewhile(lambda s: s <= 1e-12, req)]
+                 for s in itertools.takewhile(lambda s: s <= tol, req)]
     next_snap = len(snapshots)
     n_steps = 0
     while t < t_end:
@@ -261,16 +262,14 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                 f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
                 "reduce cfl or refine the grid")
         t_new = t + dt
-        while next_snap < len(req) and req[next_snap] <= t_new + 1e-12 * max(1.0, t_new):
+        # The last step (t_new >= t_end) takes the rest: past t_new, w = 1.
+        while next_snap < len(req) and req[next_snap] <= t_new + tol:
             w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
             snapshots.append(FieldSnapshot(t=req[next_snap], x_grid=x,
                                            phi=(1.0 - w) * phi + w * phi_new))
             next_snap += 1
         phi[:] = phi_new
         t = t_new
-    # Anything still pending sits at t_end within round-off.
-    snapshots.extend(FieldSnapshot(t=s, x_grid=x, phi=phi.copy())
-                     for s in req[next_snap:])
     return snapshots
 
 

@@ -30,8 +30,9 @@ from .dataio import TimeSeries
 from .errors import (DomainError, NonConvergenceError, ParameterError,
                      RankDeficiencyError, ValidationError)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
-                     SaturatingLinearParams, _closed_form, _dlog_dtheta, evaluate,
-                     fitted_names, integral_alpha, make_record, terminal_value)
+                     SaturatingLinearParams, _as_times, _closed_form, _dlog_dtheta,
+                     evaluate, fitted_names, integral_alpha, make_record,
+                     terminal_value)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -48,7 +49,8 @@ _R2_MARGIN = 0.02
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """A series, a model family, the descent's starting guess and its loss space."""
+    """A series (times >= 0), a model family, the descent's starting guess and
+    its loss space."""
 
     series: TimeSeries
     model: str
@@ -80,6 +82,7 @@ class FitProblem:
             raise ValidationError(
                 f"fitting {len(names)} parameters needs at least "
                 f"{2 * len(names)} points, series has {len(self.series)}")
+        _as_times(self.series.times)  # every family is defined for t >= 0 only
         if self.loss_space == LOSS_LOG and (self.series.values <= 0).any():
             raise ValidationError("log loss requires strictly positive values")
         object.__setattr__(self, "alpha", integral_alpha(self.alpha))

@@ -96,9 +96,10 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
             f"dt={dt!r} over [{t0!r}, {t1!r}] needs {span / dt:.4g} steps, "
             f"over the budget of {_MAX_STEPS}")
     n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
-    times = np.empty(n_steps + 1)
+    times = t0 + np.arange(n_steps + 1) * dt
+    times[0] = t0  # exact: -0.0 + 0.0 would read +0.0
+    times[-1] = t1
     states = np.empty((n_steps + 1, system.dimension))
-    times[0] = t0
     states[0] = y
     rhs = system.rhs
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch inf/NaN
@@ -116,9 +117,7 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
                 raise NumericalError(
                     f"non-finite state after the step from t={t!r}, state={y.tolist()!r}")
             y = y_new
-            times[i + 1] = t0 + (i + 1) * dt
             states[i + 1] = y
-    times[-1] = t1
     return Trajectory(times=times, states=states,
                       meta={"method": "rk4", "dt": dt, "n_steps": n_steps})
 
@@ -127,12 +126,12 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
                        rel_tol: float = 1e-8, abs_tol: float = 1e-10) -> Trajectory:
     """Embedded Dormand--Prince 5(4) pair with proportional step control.
 
-    Each step is accepted when the per-component error estimate stays below
-    abs_tol + rel_tol*|state|.  A non-finite derivative at an accepted point
-    aborts; non-finite trial stages are treated as a failed step and retried
-    smaller, and a step that shrinks below 1e-14*(t1 - t0) raises
-    StiffnessError.  More than _MAX_STEPS tried steps, accepted or rejected,
-    raise NumericalError.
+    A step is accepted when its RMS error relative to abs_tol + rel_tol*|state|
+    is err <= 1; accepted or not, h then scales by min(5, max(0.2, 0.9*err**-0.2))
+    (5 at err = 0), so a non-finite trial stage or state, whose err is not
+    finite, is rejected and shrinks h by 5.  A non-finite initial derivative
+    aborts, a step below 1e-14*(t1 - t0) raises StiffnessError, and more than
+    _MAX_STEPS tried steps, accepted or rejected, raise NumericalError.
     """
     _check_span(t0, t1)
     if not (rel_tol > 0 and abs_tol > 0):
@@ -170,22 +169,16 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
                     err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
                     scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
                     err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-            if not math.isfinite(err):
-                h *= 0.2
-                n_reject += 1
-                continue
             if err <= 1.0:
                 t = t1 if (t1 - t - h) <= 1e-15 * span else t + h
-                y = y5
+                y = y5  # a fresh array that nothing writes
                 k1 = k7  # first-same-as-last
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
                 n_accept += 1
-                grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-                h *= grow
             else:
                 n_reject += 1
-                h *= max(0.2, 0.9 * err ** -0.2)
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err else 5.0
     times_arr = np.array(times)
     times_arr[-1] = t1
     return Trajectory(times=times_arr, states=np.array(states),

@@ -413,9 +413,11 @@ class TestAnalyze:
         code = main(["analyze", "--rates", "1,2", "--out-dir", str(tmp_path)])
         assert code == 2
 
-    def test_unknown_demo_exit_2(self, tmp_path, capsys):
-        code = main(["analyze", "--demo", "pendulum", "--out-dir", str(tmp_path)])
-        assert code == 2
+    def test_unknown_demo_exit_2(self, tmp_path):
+        # analyze has one demo system, so --demo is no flag at all
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--demo", "pendulum", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
 
 
 class TestCompete:
@@ -701,3 +703,94 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["simulate", "--model", "power", "--a", "",
                   "--out-dir", str(tmp_path)])
+
+
+class TestFlagChecks:
+    """Each flag check, reached once: exit 2 with one stderr line, no files."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--a", "x"], "argument --a: expected comma-separated numbers"),
+        (["--alpha", "1.5"], "argument --alpha: expected integers"),
+    ])
+    def test_list_flags_are_usage_errors(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--model", "logistic", *argv, "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "power", "--t-max", "0"], "--t-max must be > 0"),
+        (["simulate", "--model", "power", "--points", "1"], "--points must be >= 2"),
+        (["simulate", "--model", "power", "--t-min", "5", "--t-max", "2"],
+         "need --t-min < --t-max, got 5.0 >= 2.0"),
+        (["simulate", "--model", "power", "--grid", "log", "--t-min", "0"],
+         "log-spaced grid needs --t-min > 0"),
+        (["analyze", "--guess", "1,2,3"], "--guess takes 2 comma-separated values"),
+        (["compete", "--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1", "--b", "1",
+          "--c", "1", "--init", "0,1"], "--init values must be > 0"),
+    ])
+    def test_value_checks_exit_2(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_accumulation_start_keeps_later_samples(self, tmp_path, capsys):
+        data = tmp_path / "pow.csv"
+        _write_power_csv(data, n=40)  # t = 0.2 ... 6.0
+        out = tmp_path / "out"
+        code = main(["classify-early", str(data), "--accumulation-start", "3",
+                     "--out-dir", str(out)])
+        assert code == 0
+        report = _read_report(capsys.readouterr().out.splitlines()[0])
+        t = np.linspace(0.2, 6.0, 40)
+        assert report["n_points"] == int((t >= 3.0).sum())
+
+    def test_accumulation_start_past_the_data_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "pow.csv"
+        _write_power_csv(data)
+        out = tmp_path / "out"
+        code = main(["fit", str(data), "--model", "power", "--accumulation-start", "100",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "--accumulation-start 100.0 leaves no samples" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_negative_times_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "neg.csv"
+        t = np.linspace(-2.0, 6.0, 40)
+        y = 5.0 / (1.0 + 4.0 * np.exp(-t))
+        data.write_text("".join(f"{float(ti)!r},{float(yi)!r}\n" for ti, yi in zip(t, y)))
+        out = tmp_path / "out"
+        code = main(["fit", str(data), "--model", "logistic", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: time must be >= 0, got -2.0 at index 0\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestConfigLines:
+    def _simulate(self, tmp_path, text):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        return main(["simulate", "--model", "power", "--config", str(conf),
+                     "--out-dir", str(tmp_path / "out")])
+
+    def test_comment_only_lines_are_skipped(self, tmp_path, capsys):
+        assert self._simulate(tmp_path, "# a comment\n   # another\n\npoints = 5\n") == 0
+        report = _read_report(capsys.readouterr().out.splitlines()[1])
+        assert report["grid"]["points"] == 5
+
+    def test_empty_key_exit_2(self, tmp_path, capsys):
+        assert self._simulate(tmp_path, "points = 5\n = 3\n") == 2
+        assert "line 2: empty key" in capsys.readouterr().err
+
+    def test_true_value_is_a_bare_flag(self, tmp_path, capsys):
+        data = tmp_path / "pow.csv"
+        _write_power_csv(data)
+        conf = tmp_path / "run.conf"
+        conf.write_text("cumulative = true\n")
+        code = main(["fit", str(data), "--model", "power", "--config", str(conf),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        report = _read_report(capsys.readouterr().out.splitlines()[1])
+        assert report["cumulative"] is True

@@ -1,0 +1,141 @@
+"""Input guards: each refusal the library states, reached by an input."""
+import math
+
+import numpy as np
+import pytest
+
+from growthdyn import (LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR, AdvectionSetup,
+                       AutonomousSystem, DomainError, FieldSnapshot, FitProblem,
+                       NumericalError, ParameterError, TimeSeries, ValidationError,
+                       classify, coupled_logistic_demo, emit_plot_series,
+                       euler_characteristic_phi, evolve_advection_fd, find_fixed_point,
+                       fit, integrate_adaptive, linearize, models, probe_series)
+
+SMALL = AdvectionSetup(x_max=20.0, n_cells=16)
+
+
+def _series(t0=0.0):
+    t = np.linspace(t0, t0 + 6.0, 30)
+    return TimeSeries(t, 5.0 / (1.0 + 4.0 * np.exp(-np.abs(t))))
+
+
+class TestDynsys:
+    def test_point_must_be_a_2_vector(self):
+        with pytest.raises(ValidationError, match="expected a 2-vector"):
+            linearize(coupled_logistic_demo(), [1.0, 2.0, 3.0])
+
+    def test_non_finite_rhs_while_differencing(self):
+        # finite up to the wall at y0 = 1, which the forward step 2e-6 crosses
+        system = AutonomousSystem(2, lambda y: np.array([y[0] if y[0] <= 1.0 else math.inf,
+                                                         y[1]]))
+        with pytest.raises(NumericalError, match="while differencing"):
+            linearize(system, [1.0 - 5e-7, 0.0])
+
+    def test_fixed_point_search_is_planar(self):
+        system = AutonomousSystem(3, lambda y: -y)
+        with pytest.raises(ValidationError, match="planar"):
+            find_fixed_point(system, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_fixed_point_tol_must_be_positive(self, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            find_fixed_point(coupled_logistic_demo(), [2.0, 2.0], tol=tol)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_classify_needs_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            classify([-1.0, 0.0, bad, -2.0])
+
+
+class TestFields:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"c": 0.0}, "c must be > 0"), ({"c": -1.0}, "c must be > 0"),
+        ({"c": math.nan}, "c must be > 0"), ({"phi0": -0.1}, "phi0 must be >= 0"),
+    ])
+    def test_setup_constants(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            AdvectionSetup(**kwargs)
+
+    def test_snapshot_shapes_must_match(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            FieldSnapshot(t=0.0, x_grid=np.arange(3.0), phi=np.zeros(4))
+
+    def test_snapshot_grid_must_increase(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            FieldSnapshot(t=0.0, x_grid=np.array([1.0, 1.0, 2.0]), phi=np.zeros(3))
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
+    def test_march_end_time(self, t_end):
+        with pytest.raises(ValidationError, match="t_end must be >= 0"):
+            evolve_advection_fd(SMALL, t_end, [])
+
+    def test_march_snapshots_sorted(self):
+        with pytest.raises(ValidationError, match="sorted ascending"):
+            evolve_advection_fd(SMALL, 5.0, [0.0, 3.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[-1e-3, 1.0], [0.0, 5.0 * (1.0 + 1e-11)]])
+    def test_march_snapshots_within_span(self, times):
+        with pytest.raises(ValidationError, match="must lie within"):
+            evolve_advection_fd(SMALL, 5.0, times)
+
+    def test_probe_needs_snapshots(self):
+        with pytest.raises(ValidationError, match="no snapshots"):
+            probe_series([], 5.0)
+
+    def test_probe_inside_grid(self):
+        snaps = evolve_advection_fd(SMALL, 1.0, [0.0, 1.0])
+        with pytest.raises(DomainError, match="outside grid"):
+            probe_series(snaps, 25.0)
+
+    def test_nan_time_refused(self):
+        # a NaN t used to fall through to the bracket test
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            euler_characteristic_phi(AdvectionSetup(), 50.0, math.nan)
+
+
+class TestFitting:
+    def test_unknown_loss(self):
+        with pytest.raises(ValidationError, match="loss_space"):
+            FitProblem(_series(), POWER_LAW, (1.0, 1.0), loss_space="huber")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_guess_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            FitProblem(_series(0.5), POWER_LAW, (1.0, bad))
+
+    def test_max_iter_at_least_one(self):
+        problem = FitProblem(_series(), LOGISTIC_FAMILY, (1.0, 0.2, 1.0))
+        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+            fit(problem, max_iter=0)
+
+    @pytest.mark.parametrize("model, guess", [(POWER_LAW, (1.0, 1.0)),
+                                              (SATURATING_LINEAR, (1.0, 1.0)),
+                                              (LOGISTIC_FAMILY, (1.0, 1.0, 1.0))])
+    def test_negative_times_refused_up_front(self, model, guess):
+        # every family is defined for t >= 0; the first negative time is named
+        with pytest.raises(ValidationError, match=r"got -2\.0 at index 0"):
+            FitProblem(_series(-2.0), model, guess)
+
+
+class TestMisc:
+    def test_evaluate_needs_a_family_record(self):
+        with pytest.raises(ParameterError, match="no growth law for tuple"):
+            models.evaluate((1.0, 0.5), 1.0)
+
+    @pytest.mark.parametrize("dimension", [0, -1, 2.0])
+    def test_system_dimension(self, dimension):
+        with pytest.raises(ValidationError, match="positive integer"):
+            AutonomousSystem(dimension, lambda y: y)
+
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(0.0, 1e-10), (1e-8, 0.0),
+                                                  (-1e-8, 1e-10), (math.nan, 1e-10)])
+    def test_adaptive_tolerances_positive(self, rel_tol, abs_tol):
+        with pytest.raises(ValidationError, match="tolerances must be positive"):
+            integrate_adaptive(AutonomousSystem(1, lambda y: -y), [1.0], 0.0, 1.0,
+                               rel_tol=rel_tol, abs_tol=abs_tol)
+
+    def test_plot_series_lengths_match(self, tmp_path):
+        with pytest.raises(ValidationError, match="entry 1: x and y must match"):
+            emit_plot_series([("a", [0.0, 1.0], [1.0, 2.0]), ("b", [0.0, 1.0], [1.0])],
+                             "linear", str(tmp_path / "out.csv"))
+        assert list(tmp_path.iterdir()) == []

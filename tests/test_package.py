@@ -1,6 +1,10 @@
-"""Package surface: the derived ``__all__`` lists every public object."""
+"""Package surface: the derived ``__all__`` lists every public object, and
+numpy is the only runtime dependency."""
+import ast
 import dataclasses
 import inspect
+import pathlib
+import sys
 import types
 
 import growthdyn
@@ -109,3 +113,21 @@ def test_public_parameters_are_pinned():
         elif inspect.isfunction(obj):
             found[name] = tuple(inspect.signature(obj).parameters)
     assert found == PUBLIC_PARAMETERS
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Relative imports stay inside the package; every absolute one must be
+    # the standard library or numpy.
+    src = pathlib.Path(growthdyn.__file__).parent
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
