@@ -74,8 +74,7 @@ def _fmt(v: float) -> str:
 
 
 def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
+    # records as dicts; a type json.dump does not take fails there
     if isinstance(v, float):
         return v if math.isfinite(v) else repr(v)
     if isinstance(v, complex):
@@ -84,11 +83,9 @@ def _jsonable(v):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.ndarray, np.floating, np.integer)):
-        return _jsonable(v.tolist())
     if dataclasses.is_dataclass(v):
         return _jsonable(dataclasses.asdict(v))
-    return str(v)
+    return v
 
 
 def _run(args) -> int:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonConvergenceError, NumericalError, ParameterError,
-                     ValidationError)
+from .errors import (NonConvergenceError, NumericalError, ValidationError,
+                     check_number, check_record)
 from .fitting import _lm_once
 from .ode import AutonomousSystem
 
@@ -90,10 +90,7 @@ class CompetitionParams:
     c: float   # resource weight of species 2
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"competition parameter {f.name} must be > 0, got {v!r}")
+        check_record(self, positive=("a1", "a2", "d1", "d2", "b", "c"))
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,8 @@ def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
     """
     if system.dimension != 2:
         raise ValidationError("fixed-point search is implemented for planar systems")
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    tol = check_number("tol", tol, float, ">")
+    max_iter = check_number("max_iter", max_iter, int, ">")
 
     def residual(x):
         f = np.asarray(system.rhs(x), dtype=float)
@@ -216,10 +213,7 @@ def classify(jacobian) -> EigenClassification:
     time unit.  Trace, determinant and eigenvalues are reported unscaled,
     and read inf, NaN or 0 where they leave float64.
     """
-    a, b, c, d = (float(v) for v in jacobian)
-    for v in (a, b, c, d):
-        if not math.isfinite(v):
-            raise ValidationError(f"Jacobian entries must be finite, got {jacobian!r}")
+    a, b, c, d = (check_number("Jacobian entry", v) for v in jacobian)
     tr, det, _, lam1, lam2 = _spectrum(a, b, c, d)
     e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     label = _label(*(math.ldexp(v, -e) for v in (a, b, c, d)))

@@ -1,9 +1,14 @@
-"""Exception hierarchy shared by all growthdyn modules.
+"""Exception hierarchy shared by all growthdyn modules, and the number rule.
 
 The split mirrors how the CLI reports failures: bad inputs or parameters
 (ValidationError), solver breakdowns (NumericalError), and anything wrong
 with reading or writing data files (DataIOError).
 """
+import functools
+import math
+import numbers
+import typing
+from dataclasses import fields
 
 
 class GrowthDynError(Exception):
@@ -15,7 +20,7 @@ class ValidationError(GrowthDynError):
 
 
 class ParameterError(ValidationError):
-    """A parameter record violates its constraints."""
+    """A parameter violates the number rule or its record's constraints."""
 
 
 class DomainError(ValidationError):
@@ -52,3 +57,36 @@ class RankDeficiencyError(NumericalError):
 
 class DataIOError(GrowthDynError):
     """Unreadable, malformed, or unwritable data files. CLI exit code 4."""
+
+
+def check_number(name, value, kind=float, sign=""):
+    """value as a Python float (kind float: any finite numbers.Real but bool)
+    or int (kind int: any integral one), > 0 for sign ">" and >= 0 for ">=";
+    anything else raises ParameterError naming name and value."""
+    if type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                       and not isinstance(value, bool)):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond float64
+            x = math.nan
+        if (math.isfinite(x) and (kind is float or x.is_integer())
+                and (x > 0 if sign == ">" else x >= 0 if sign else True)):
+            return x if kind is float else int(value)
+    what = "a finite real" if kind is float else "an integer"
+    raise ParameterError(f"{name} must be {f'{sign} 0 ({what})' if sign else what}, "
+                         f"got {value!r}")
+
+
+@functools.cache
+def _number_fields(cls):
+    hints = typing.get_type_hints(cls)  # the hints the CLI types its flags by
+    return tuple((f.name, f"{cls.__name__}.{f.name}", hints[f.name]) for f in fields(cls)
+                 if hints[f.name] in (float, int))
+
+
+def check_record(record, positive=(), non_negative=()):
+    """check_number on each float and int field of a frozen dataclass, > 0 if
+    named positive and >= 0 if non_negative; stores the number it returns."""
+    for name, label, kind in _number_fields(type(record)):
+        sign = ">" if name in positive else ">=" if name in non_negative else ""
+        object.__setattr__(record, name, check_number(label, getattr(record, name), kind, sign))

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError,
-                     RootNotFoundError, ValidationError)
+                     RootNotFoundError, ValidationError, check_number,
+                     check_record)
 from .ode import _MAX_STEPS, AutonomousSystem
 
 _VEL_FLOOR = 1e-12        # guards the CFL division on a flat (zero) field
@@ -39,14 +40,12 @@ _EXP_OVERFLOW = 700.0     # exp() argument ceiling before float64 overflow
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Diffusion coefficient for the point-source solution."""
+    """Diffusion coefficient delta > 0 for the point-source solution."""
 
     delta: float
 
     def __post_init__(self):
-        if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta)
-                and self.delta > 0):
-            raise ParameterError(f"delta must be > 0, got {self.delta!r}")
+        check_record(self, positive=("delta",))
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,8 @@ class AdvectionSetup:
     c is the characteristic energy constant of the implicit exact solution
     (fixed per query); phi0 is the flat initial field magnitude.  x_min stays
     strictly positive to keep the potential's singularity off the grid.
+    x_min < x_max, n_cells >= 16, cfl <= 0.9, and phi0**2, 1/x_min**2 and
+    x_max**2 stay finite.
     """
 
     c: float = 1.0
@@ -66,23 +67,19 @@ class AdvectionSetup:
     cfl: float = 0.9
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ParameterError(f"c must be > 0, got {self.c!r}")
-        if not (math.isfinite(self.phi0) and self.phi0 >= 0):
-            raise ParameterError(f"phi0 must be >= 0, got {self.phi0!r}")
+        check_record(self, positive=("c", "x_min", "x_max", "n_cells", "cfl"),
+                     non_negative=("phi0",))
         if not math.isfinite(self.phi0 * self.phi0):
             raise ParameterError(f"phi0={self.phi0!r} is too large: phi0**2 overflows")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
-                and 0 < self.x_min < self.x_max):
-            raise ParameterError(
-                f"need 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})")
+        if not self.x_min < self.x_max:
+            raise ParameterError(f"need x_min < x_max, got ({self.x_min!r}, {self.x_max!r})")
         if not (self.x_min * self.x_min > 0 and math.isfinite(1.0 / (self.x_min * self.x_min))):
             raise ParameterError(f"x_min={self.x_min!r} is too small: 1/x_min**2 overflows")
         if not math.isfinite(self.x_max * self.x_max):
             raise ParameterError(f"x_max={self.x_max!r} is too large: x_max**2 overflows")
-        if not (isinstance(self.n_cells, int) and self.n_cells >= 16):
+        if self.n_cells < 16:
             raise ParameterError(f"n_cells must be an integer >= 16, got {self.n_cells!r}")
-        if not (math.isfinite(self.cfl) and 0 < self.cfl <= 0.9):
+        if self.cfl > 0.9:
             raise ParameterError(f"cfl must lie in (0, 0.9], got {self.cfl!r}")
 
     @property
@@ -95,13 +92,14 @@ class AdvectionSetup:
 
 @dataclass(frozen=True, eq=False)
 class FieldSnapshot:
-    """The field on its grid at one instant."""
+    """The field on its grid at one instant t (any finite real)."""
 
     t: float
     x_grid: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self):
+        check_record(self)
         if self.x_grid.shape != self.phi.shape or self.x_grid.ndim != 1:
             raise ValidationError("x_grid and phi must be 1-D arrays of equal length")
         if not (np.diff(self.x_grid) > 0).all():
@@ -123,8 +121,11 @@ def diffusion_point_source(p: DiffusionParams, x, t: float):
 
 def _char_residual(phi: float, c: float, x: float, t: float) -> float:
     # Implicit relation g(phi) = phi^2 - (2/x)*[1 - (phi/c + 1)^-2 * exp(c*phi*x - c^3 t)]
-    # rewritten with a single guarded exponent to survive large c*phi*x.
-    expo = c * phi * x - c ** 3 * t - 2.0 * math.log1p(phi / c)
+    # rewritten with a single guarded exponent to survive large c*phi*x.  Where
+    # c**3 leaves the normal float64 range, c*(phi*x - c*(c*t)) neither reads
+    # inf - inf nor loses c^3 t to underflow.
+    expo = (c * phi * x - c ** 3 * t if 2.0 ** -340 <= c <= 2.0 ** 341
+            else c * (phi * x - c * (c * t))) - 2.0 * math.log1p(phi / c)
     if expo > _EXP_OVERFLOW:
         return math.inf
     return phi * phi - (2.0 / x) + (2.0 / x) * math.exp(expo)
@@ -141,7 +142,8 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
     from exactly 0 holds only where c**2*x >= 2, a known limit: elsewhere
     g'(0) = (2/x)(c*x - 2/c) < 0, so for any t > 0 the only sign change on
     the branch is the far root, and the value jumps at t = 0 (to 0.79 at
-    x = c = 1, even at t = 1e-300).  A negative or NaN t raises DomainError.
+    x = c = 1, even at t = 1e-300).  Every c the setup accepts gives a root.
+    A negative or NaN t raises DomainError.
     """
     if not setup.x_min <= x <= setup.x_max:
         raise DomainError(
@@ -212,12 +214,9 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     the acceleration bound or the advective bound at phi0 implies that many,
     else when the budget runs out.
     """
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValidationError(f"t_end must be >= 0, got {t_end!r}")
+    t_end = check_number("t_end", t_end, float, ">=")
     tol = 1e-12 * t_end  # the one round-off slack in time
-    req = [float(s) for s in snapshot_times]
-    if not all(map(math.isfinite, req)):
-        raise ValidationError(f"snapshot_times must be finite, got {req}")
+    req = [check_number("snapshot time", s) for s in snapshot_times]
     if any(b < a for a, b in zip(req, req[1:])):
         raise ValidationError("snapshot_times must be sorted ascending")
     if req and (req[0] < 0 or req[-1] > t_end + tol):
@@ -246,30 +245,31 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                  for s in itertools.takewhile(lambda s: s <= tol, req)]
     next_snap = len(snapshots)
     n_steps = 0
-    while t < t_end:
-        if n_steps == _MAX_STEPS:
-            raise NumericalError(
-                f"march used its budget of {_MAX_STEPS} steps at t={t!r} of {t_end!r}")
-        n_steps += 1
-        # speed*dt <= cfl*dx < dx, so the step never breaks the CFL bound.
-        dt = setup.cfl * dx / max(float(np.abs(phi).max()), _VEL_FLOOR)
-        dt = min(dt, dt_accel, t_end - t)
-        grad = (padded[1:] - phi) / dx
-        phi_new = phi + dt * (source - phi * grad)
-        if not np.isfinite(phi_new).all():
-            bad = int(np.argmax(~np.isfinite(phi_new)))
-            raise NumericalError(
-                f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
-                "reduce cfl or refine the grid")
-        t_new = t + dt
-        # The last step (t_new >= t_end) takes the rest: past t_new, w = 1.
-        while next_snap < len(req) and req[next_snap] <= t_new + tol:
-            w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
-            snapshots.append(FieldSnapshot(t=req[next_snap], x_grid=x,
-                                           phi=(1.0 - w) * phi + w * phi_new))
-            next_snap += 1
-        phi[:] = phi_new
-        t = t_new
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below catches inf/NaN
+        while t < t_end:
+            if n_steps == _MAX_STEPS:
+                raise NumericalError(
+                    f"march used its budget of {_MAX_STEPS} steps at t={t!r} of {t_end!r}")
+            n_steps += 1
+            # speed*dt <= cfl*dx < dx, so the step never breaks the CFL bound.
+            dt = setup.cfl * dx / max(float(np.abs(phi).max()), _VEL_FLOOR)
+            dt = min(dt, dt_accel, t_end - t)
+            grad = (padded[1:] - phi) / dx
+            phi_new = phi + dt * (source - phi * grad)
+            if not np.isfinite(phi_new).all():
+                bad = int(np.argmax(~np.isfinite(phi_new)))
+                raise NumericalError(
+                    f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
+                    "reduce cfl or refine the grid")
+            t_new = t + dt
+            # The last step (t_new >= t_end) takes the rest: past t_new, w = 1.
+            while next_snap < len(req) and req[next_snap] <= t_new + tol:
+                w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
+                snapshots.append(FieldSnapshot(t=req[next_snap], x_grid=x,
+                                               phi=(1.0 - w) * phi + w * phi_new))
+                next_snap += 1
+            phi[:] = phi_new
+            t = t_new
     return snapshots
 
 

@@ -28,10 +28,11 @@ import numpy as np
 
 from .dataio import TimeSeries
 from .errors import (DomainError, NonConvergenceError, ParameterError,
-                     RankDeficiencyError, ValidationError)
+                     RankDeficiencyError, ValidationError, check_number,
+                     check_record)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
                      SaturatingLinearParams, _as_times, _closed_form, _dlog_dtheta,
-                     evaluate, fitted_names, integral_alpha, make_record,
+                     evaluate, fitted_names, make_record,
                      terminal_value)
 
 LOSS_LINEAR = "linear"
@@ -49,8 +50,8 @@ _R2_MARGIN = 0.02
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """A series (times >= 0), a model family, the descent's starting guess and
-    its loss space."""
+    """A series (times >= 0), a model family, the descent's starting guess (finite
+    reals, those optimized as logs > 0) and its loss space."""
 
     series: TimeSeries
     model: str
@@ -66,18 +67,14 @@ class FitProblem:
                 f"loss_space must be {LOSS_LINEAR!r} or {LOSS_LOG!r}, "
                 f"got {self.loss_space!r}")
         names = fitted_names(self.model)
-        guess = tuple(float(g) for g in self.initial_guess)
-        object.__setattr__(self, "initial_guess", guess)
+        guess = tuple(self.initial_guess)
         if len(guess) != len(names):
             raise ValidationError(
                 f"{self.model} takes {len(names)} parameters {names}, "
                 f"got {len(guess)}")
-        for name, g, is_log in zip(names, guess, _theta_is_log(self.model)):
-            if not math.isfinite(g):
-                raise ValidationError(f"initial guess for {name} must be finite")
-            if is_log and g <= 0:
-                raise ValidationError(
-                    f"initial guess for {name} must be > 0, got {g}")
+        object.__setattr__(self, "initial_guess", tuple(
+            check_number(f"initial guess for {name}", g, float, ">" if is_log else "")
+            for name, g, is_log in zip(names, guess, _theta_is_log(self.model))))
         if len(self.series) < 2 * len(names):
             raise ValidationError(
                 f"fitting {len(names)} parameters needs at least "
@@ -85,7 +82,7 @@ class FitProblem:
         _as_times(self.series.times)  # every family is defined for t >= 0 only
         if self.loss_space == LOSS_LOG and (self.series.values <= 0).any():
             raise ValidationError("log loss requires strictly positive values")
-        object.__setattr__(self, "alpha", integral_alpha(self.alpha))
+        check_record(self, non_negative=("alpha",))
 
 
 @dataclass(frozen=True)
@@ -265,10 +262,8 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
     RankDeficiencyError up front.  For the logistic family with alpha = 0
     the model is phi0*exp((a - b) t): only a - b and phi0 are identifiable.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    tol = check_number("tol", tol, float, ">")
+    max_iter = check_number("max_iter", max_iter, int, ">")
     values = problem.series.values
     if float(np.ptp(values)) <= 1e-12 * float(np.max(np.abs(values))):
         raise RankDeficiencyError(

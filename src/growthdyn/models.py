@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_record
 
 POWER_LAW = "power-law"
 SATURATING_LINEAR = "saturating-linear"
@@ -30,23 +30,6 @@ LOGISTIC_FAMILY = "logistic-family"
 
 # b t past which exp(-b t) is below float64 resolution
 _EXP_MAX = 700.0
-
-
-def _require(cond, message):
-    if not cond:
-        raise ParameterError(message)
-
-
-def _finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
-def integral_alpha(alpha):
-    """alpha as an int (from an integral float too); else ParameterError."""
-    al = int(alpha) if isinstance(alpha, float) and alpha.is_integer() else alpha
-    _require(isinstance(al, int) and al >= 0,
-             f"unsupported alpha: {al!r} (must be a non-negative integer)")
-    return al
 
 
 @dataclass(frozen=True)
@@ -57,8 +40,7 @@ class PowerLawParams:
     beta: float   # growth exponent, any finite real
 
     def __post_init__(self):
-        _require(_finite(self.a) and self.a > 0, f"power law needs a > 0, got a={self.a}")
-        _require(_finite(self.beta), f"power law exponent must be finite, got beta={self.beta}")
+        check_record(self, positive=("a",))
 
 
 @dataclass(frozen=True)
@@ -69,8 +51,7 @@ class SaturatingLinearParams:
     b: float  # relaxation rate, > 0 (per time)
 
     def __post_init__(self):
-        _require(_finite(self.a) and self.a > 0, f"need a > 0, got a={self.a}")
-        _require(_finite(self.b) and self.b > 0, f"need b > 0, got b={self.b}")
+        check_record(self, positive=("a", "b"))
 
 
 @dataclass(frozen=True)
@@ -89,16 +70,10 @@ class GeneralizedLogisticParams:
     phi0: float
 
     def __post_init__(self):
-        _require(_finite(self.a) and self.a > 0, f"need a > 0, got a={self.a}")
-        _require(_finite(self.b) and self.b > 0, f"need b > 0, got b={self.b}")
-        _require(_finite(self.phi0) and self.phi0 >= 0,
-                 f"need phi0 >= 0, got phi0={self.phi0}")
-        object.__setattr__(self, "alpha", integral_alpha(self.alpha))
-        # phi0**alpha past float64 is above any finite a: a Python float
-        # raises OverflowError, a numpy one (quietly here) gives inf
+        check_record(self, positive=("a", "b"), non_negative=("alpha", "phi0"))
+        # phi0**alpha past float64 is above any finite a
         try:
-            with np.errstate(over="ignore"):
-                damping = self.b * self.phi0 ** self.alpha
+            damping = self.b * self.phi0 ** self.alpha
         except OverflowError:
             damping = math.inf
         if self.a < damping:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, StiffnessError, ValidationError
+from .errors import NumericalError, StiffnessError, ValidationError, check_record
 
 # Dormand--Prince 5(4) tableau; the last row of _DP_A is the 5th-order
 # solution, whose derivative is the 7th stage (first-same-as-last).
@@ -41,8 +41,7 @@ class AutonomousSystem:
     rhs: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not (isinstance(self.dimension, int) and self.dimension >= 1):
-            raise ValidationError(f"dimension must be a positive integer, got {self.dimension!r}")
+        check_record(self, positive=("dimension",))
 
 
 @dataclass

@@ -286,7 +286,7 @@ class TestFit:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == \
-            "error: unsupported alpha: -1 (must be a non-negative integer)\n"
+            "error: FitProblem.alpha must be >= 0 (an integer), got -1\n"
 
     def test_power_law_recovery(self, tmp_path, capsys):
         data = tmp_path / "power.csv"

@@ -4,6 +4,7 @@ The cross-check numbers (probe levels, grid-refinement ratios) were frozen
 from prototype runs of an independent characteristic-tracing script before
 the finite-difference code was written.
 """
+import itertools
 import math
 import time
 import warnings
@@ -15,7 +16,7 @@ from scipy.integrate import quad
 from growthdyn import fields
 
 from growthdyn import (AdvectionSetup, DiffusionParams, DomainError,
-                       FieldSnapshot, NumericalError, ParameterError,
+                       FieldSnapshot, GrowthDynError, NumericalError, ParameterError,
                        ValidationError,
                        characteristic_energy, characteristic_particle_system,
                        diffusion_point_source, euler_characteristic_phi,
@@ -115,6 +116,27 @@ class TestCharacteristicSolution:
         up, down = math.nextafter(root, math.inf), math.nextafter(root, -math.inf)
         assert (root == math.sqrt(2.0 / x) or g(root) <= 0.0 < g(up)
                 or g(down) <= 0.0 < g(root))
+
+    @pytest.mark.parametrize("c", [1e-110, 1e-60, 1.0, 1e60, 1e103, 1e300])
+    def test_every_accepted_c_gives_a_root_or_a_typed_error(self, c):
+        # c**3 leaves the normal float64 range above c ~ 5.6e102 and below
+        # c ~ 2.8e-103; a t = inf root is sqrt(2/x) there all the same
+        setup = AdvectionSetup(c=c)
+        for t, x in itertools.product([0.0, 1e-300, 1.0, 1e300, math.inf],
+                                      [setup.x_min, 50.0]):
+            try:
+                root = euler_characteristic_phi(setup, x, t)
+            except GrowthDynError:
+                continue
+            assert isinstance(root, float) and 0.0 <= root <= math.sqrt(2.0 / x), (t, x)
+        assert euler_characteristic_phi(setup, 50.0, math.inf) == math.sqrt(2.0 / 50.0)
+
+    def test_both_exponent_terms_past_float64_give_the_terminal_root(self):
+        # c*phi*x and c**3 t both overflow here, but c**2 t >> phi*x, so the
+        # exponential term vanishes and the root is sqrt(2/x)
+        setup = AdvectionSetup(c=1e300, x_min=1e150, x_max=1e153)
+        assert euler_characteristic_phi(setup, 1e152, 1.0) \
+            == pytest.approx(math.sqrt(2e-152), rel=1e-15)
 
     def test_position_outside_domain_rejected(self):
         with pytest.raises(DomainError):
@@ -217,6 +239,13 @@ class TestUpwindScheme:
         setup = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16)
         with pytest.raises(NumericalError, match="march used its budget of 50 steps"):
             evolve_advection_fd(setup, 44.0, [])
+
+    def test_overflowing_step_is_a_numerical_error(self):
+        # source -1/x**2 ~ -1e308 on this grid: the first step overflows, and
+        # the march's own check reports it without a RuntimeWarning
+        setup = AdvectionSetup(x_min=1e-154, x_max=2e-154, n_cells=16)
+        with pytest.raises(NumericalError, match="non-finite field"):
+            evolve_advection_fd(setup, 1e-229, [1e-229])
 
     @pytest.mark.parametrize("times", [[0.0, math.nan, 5.0], [math.nan], [0.0, 5.0, math.nan]])
     def test_non_finite_snapshot_times_rejected(self, times):

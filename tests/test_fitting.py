@@ -68,7 +68,7 @@ class TestFitProblemValidation:
         # one exponent rule: the problem raises what the record would
         with pytest.raises(ParameterError) as info:
             FitProblem(_logistic_series(), LOGISTIC_FAMILY, (1.0, 1.0, 1.0), alpha=-1)
-        assert str(info.value) == "unsupported alpha: -1 (must be a non-negative integer)"
+        assert str(info.value) == "FitProblem.alpha must be >= 0 (an integer), got -1"
 
     def test_integral_float_alpha_becomes_int(self):
         problem = FitProblem(_logistic_series(), LOGISTIC_FAMILY, (1.0, 1.0, 1.0),

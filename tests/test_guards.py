@@ -38,12 +38,17 @@ class TestDynsys:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_fixed_point_tol_must_be_positive(self, tol):
-        with pytest.raises(ValidationError, match="tol must be positive"):
+        with pytest.raises(ValidationError, match="tol must be > 0"):
             find_fixed_point(coupled_logistic_demo(), [2.0, 2.0], tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, "3"])
+    def test_fixed_point_max_iter_is_an_integer(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter must be > 0"):
+            find_fixed_point(coupled_logistic_demo(), [2.0, 2.0], max_iter=max_iter)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_classify_needs_finite_entries(self, bad):
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match="must be a finite real"):
             classify([-1.0, 0.0, bad, -2.0])
 
 
@@ -100,13 +105,26 @@ class TestFitting:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_guess_must_be_finite(self, bad):
-        with pytest.raises(ValidationError, match="must be finite"):
+        with pytest.raises(ValidationError, match="must be a finite real"):
             FitProblem(_series(0.5), POWER_LAW, (1.0, bad))
 
     def test_max_iter_at_least_one(self):
         problem = FitProblem(_series(), LOGISTIC_FAMILY, (1.0, 0.2, 1.0))
-        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+        with pytest.raises(ValidationError, match="max_iter must be > 0"):
             fit(problem, max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, "3"])
+    def test_max_iter_is_an_integer(self, max_iter):
+        # 2.5 used to reach range() as a bare TypeError, and True ran one step
+        problem = FitProblem(_series(), LOGISTIC_FAMILY, (1.0, 0.2, 1.0))
+        with pytest.raises(ValidationError, match="max_iter must be > 0"):
+            fit(problem, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [math.inf, True, None])
+    def test_tol_is_a_finite_real(self, tol):
+        problem = FitProblem(_series(), LOGISTIC_FAMILY, (1.0, 0.2, 1.0))
+        with pytest.raises(ValidationError, match="tol must be > 0"):
+            fit(problem, tol=tol)
 
     @pytest.mark.parametrize("model, guess", [(POWER_LAW, (1.0, 1.0)),
                                               (SATURATING_LINEAR, (1.0, 1.0)),
@@ -122,9 +140,9 @@ class TestMisc:
         with pytest.raises(ParameterError, match="no growth law for tuple"):
             models.evaluate((1.0, 0.5), 1.0)
 
-    @pytest.mark.parametrize("dimension", [0, -1, 2.0])
+    @pytest.mark.parametrize("dimension", [0, -1, 2.5])
     def test_system_dimension(self, dimension):
-        with pytest.raises(ValidationError, match="positive integer"):
+        with pytest.raises(ValidationError, match=r"dimension must be > 0 \(an integer\)"):
             AutonomousSystem(dimension, lambda y: y)
 
     @pytest.mark.parametrize("rel_tol, abs_tol", [(0.0, 1e-10), (1e-8, 0.0),

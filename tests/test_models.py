@@ -186,18 +186,18 @@ class TestLogisticFamily:
         np.testing.assert_array_equal(eval_logistic_family(p, np.linspace(0.0, 900.0, 4)),
                                       np.zeros(4))
 
-    @pytest.mark.parametrize("alpha,shown", [(-1, "-1"), (-1.0, "-1"), (1.5, "1.5"),
+    @pytest.mark.parametrize("alpha,shown", [(-1, "-1"), (-1.0, "-1.0"), (1.5, "1.5"),
                                              ("2", "'2'")])
     def test_exponent_rule_message(self, alpha, shown):
         with pytest.raises(ParameterError) as info:
             GeneralizedLogisticParams(a=5, b=1, alpha=alpha, phi0=1)
         assert str(info.value) == \
-            f"unsupported alpha: {shown} (must be a non-negative integer)"
+            f"GeneralizedLogisticParams.alpha must be >= 0 (an integer), got {shown}"
 
     def test_alpha0_overflow_scalar_raises(self):
         # a scalar time is refused like an array one, with the record named
         p = GeneralizedLogisticParams(a=2, b=1, alpha=0, phi0=1)
-        with pytest.raises(DomainError, match=r"alpha=0, phi0=1\) leaves float64 range"):
+        with pytest.raises(DomainError, match=r"alpha=0, phi0=1\.0\) leaves float64 range"):
             eval_logistic_family(p, 800.0)
 
     def test_alpha0_value_past_exp700_is_returned(self):

@@ -1,13 +1,20 @@
-"""Package surface: the derived ``__all__`` lists every public object, and
-numpy is the only runtime dependency."""
+"""Package surface: the derived ``__all__`` lists every public object,
+numpy is the only runtime dependency, and every number field of a parameter
+record follows one rule."""
 import ast
 import dataclasses
 import inspect
+import math
 import pathlib
 import sys
 import types
+import typing
+
+import numpy as np
+import pytest
 
 import growthdyn
+from growthdyn import ParameterError
 
 # sorted growthdyn.__all__
 PUBLIC_NAMES = [
@@ -131,3 +138,91 @@ def test_numpy_is_the_only_runtime_dependency():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert foreign == []
+
+
+# A valid build of every public record that takes numbers as input.
+RECORDS = {
+    "PowerLawParams": {"a": 2.0, "beta": 0.5},
+    "SaturatingLinearParams": {"a": 2.0, "b": 0.5},
+    "GeneralizedLogisticParams": {"a": 5.0, "b": 1.0, "alpha": 1, "phi0": 0.5},
+    "DiffusionParams": {"delta": 0.5},
+    "AdvectionSetup": {"c": 1.5, "phi0": 0.5, "x_min": 1.0, "x_max": 200.0,
+                       "n_cells": 64, "cfl": 0.5},
+    "CompetitionParams": {"a1": 1.0, "a2": 1.5, "d1": 1.0, "d2": 1.0, "b": 1.0, "c": 2.0},
+    "FitProblem": {"series": growthdyn.TimeSeries(np.linspace(0.0, 1.0, 8),
+                                                  np.linspace(1.0, 2.0, 8)),
+                   "model": growthdyn.LOGISTIC_FAMILY, "initial_guess": (1.0, 1.0, 1.0),
+                   "alpha": 1},
+    "AutonomousSystem": {"dimension": 2, "rhs": lambda y: -y},
+    "FieldSnapshot": {"t": 0.5, "x_grid": np.arange(3.0), "phi": np.zeros(3)},
+}
+# Records the library fills in with what a computation gave, inf and NaN
+# included; they take no input and check nothing.
+RESULT_RECORDS = {"ClassifierVerdict", "EigenClassification", "ExclusionVerdict",
+                  "FitResult", "FixedPoint2D", "OnsetEstimate", "StabilityReport"}
+
+
+def _build(name, **override):
+    return getattr(growthdyn, name)(**{**RECORDS[name], **override})
+
+
+def _number_fields(cls):
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if hints[f.name] in (float, int)}
+
+
+def test_every_number_field_follows_the_rule():
+    # A new record with a float or int field fails here until it is listed
+    # above, and then unless its fields refuse a bool and store a numpy
+    # value as the Python number it equals.
+    records = {name for name in growthdyn.__all__
+               if dataclasses.is_dataclass(getattr(growthdyn, name))
+               and _number_fields(getattr(growthdyn, name))}
+    assert records - RESULT_RECORDS == set(RECORDS)
+    for name in RECORDS:
+        for field, kind in _number_fields(getattr(growthdyn, name)).items():
+            with pytest.raises(ParameterError, match=rf"\b{field} must be"):
+                _build(name, **{field: True})
+            value = RECORDS[name][field]
+            stored = getattr(_build(name, **{field: (np.int64 if kind is int
+                                                     else np.float32)(value)}), field)
+            assert type(stored) is kind and stored == value, (name, field)
+
+
+# (record, field, an integral value it accepts, a value out of its bounds)
+_RULE_FIELDS = [
+    ("PowerLawParams", "a", 2, 0), ("SaturatingLinearParams", "b", 2, 0),
+    ("GeneralizedLogisticParams", "alpha", 2, -1), ("DiffusionParams", "delta", 2, 0),
+    ("AdvectionSetup", "c", 2, 0), ("AdvectionSetup", "n_cells", 64, 8),
+    ("CompetitionParams", "a1", 2, 0), ("FitProblem", "alpha", 2, -1),
+    ("AutonomousSystem", "dimension", 2, 0), ("FieldSnapshot", "t", 2, None),
+]
+_ACCEPTED = {"int": int, "integral float": float, "np.int64": np.int64,
+             "np.float32": np.float32, "np.float64": np.float64}
+_REFUSED = {"bool": lambda g: True, "str": str, "None": lambda g: None,
+            "nan": lambda g: math.nan, "inf": lambda g: math.inf,
+            "10**400": lambda g: 10 ** 400}
+
+
+def _rule_cases():
+    for name, field, good, out in _RULE_FIELDS:
+        is_float = _number_fields(getattr(growthdyn, name))[field] is float
+        cases = [(case, make(good), True) for case, make in _ACCEPTED.items()]
+        cases += [(case, make(good), False) for case, make in _REFUSED.items()]
+        cases += [("fraction", good + 0.5, is_float)]  # an int field takes none
+        cases += [("out of bounds", out, False)] if out is not None else []
+        for case, value, accepted in cases:
+            yield pytest.param(name, field, value, accepted, id=f"{name}.{field}-{case}")
+
+
+@pytest.mark.parametrize("name, field, value, accepted", _rule_cases())
+def test_number_rule(name, field, value, accepted):
+    # accepted and stored as the Python float or int it equals, or refused
+    if accepted:
+        stored = getattr(_build(name, **{field: value}), field)
+        assert type(stored) is _number_fields(getattr(growthdyn, name))[field]
+        assert stored == value
+    else:
+        with pytest.raises(ParameterError, match=rf"\b{field} must be"):
+            _build(name, **{field: value})
