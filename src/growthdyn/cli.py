@@ -37,7 +37,7 @@ import typing
 import numpy as np
 
 from . import dataio, dynsys, fields, fitting, models
-from .errors import DataIOError, NumericalError, ValidationError
+from .errors import DataIOError, NumericalError, ParameterError, ValidationError, check_number
 from .ode import integrate_adaptive, interp_states
 
 OUT_DIR_ENV = "GROWTHDYN_OUT"
@@ -52,21 +52,20 @@ _GRID_LINEAR = "linear"
 _GRID_LOG = "log"
 
 
-def _float_list(text: str):
-    try:
-        out = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not out:
-        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
-    return out
-
-
-def _int_list(text: str):
-    vals = _float_list(text)
-    if not all(v.is_integer() for v in vals):
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
-    return [int(v) for v in vals]
+def _numbers(kind=float, sign="", many=False):
+    """argparse type: errors.check_number(kind, sign) on the flag's value or,
+    if many, on each of its comma-separated values (at least one)."""
+    def parse(text: str):
+        tokens = [tok for tok in text.split(",") if tok.strip()] if many else [text]
+        try:  # a list with no values fails as float(text)
+            out = [check_number("value", float(tok), kind, sign) for tok in tokens or [text]]
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            what = "comma-separated numbers" if many else "a number"
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        return out if many else out[0]
+    return parse
 
 
 def _fmt(v: float) -> str:
@@ -119,8 +118,6 @@ def _time_grid(args) -> np.ndarray:
         spacing = _GRID_LOG if args.axes in (dataio.AXES_LOG_X, dataio.AXES_LOG_LOG) \
             else _GRID_LINEAR
     t_max = args.t_max
-    if not t_max > 0:
-        raise ValidationError(f"--t-max must be > 0, got {t_max}")
     t_min = args.t_min
     if t_min is None:
         t_min = t_max * 1e-4 if spacing == _GRID_LOG else 0.0
@@ -255,15 +252,11 @@ def cmd_analyze(args):
 # ----------------------------------------------------------------- compete
 
 def cmd_compete(args):
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
     params = _record(dynsys.CompetitionParams, args)
     verdict = dynsys.exclusion_verdict(params)
     init = args.init
     if len(init) != 2:
         raise ValidationError("--init takes 2 comma-separated values: phi1,phi2")
-    if any(v <= 0 for v in init):
-        raise ValidationError("--init values must be > 0 (extinct species stay extinct)")
     # The table starts at t = 0: fail on an impossible log axis before integrating.
     dataio.check_log_axes("phi1", np.zeros(1), np.array(init[:1]), args.axes)
     t_end = args.t_end if args.t_end is not None else 50.0 / min(args.a1, args.a2)
@@ -287,10 +280,8 @@ def cmd_compete(args):
 def cmd_pde(args):
     setup = _record(fields.AdvectionSetup, args)
     # The snapshot grid is geometric from t_end*1e-5, which must not underflow.
-    if not (math.isfinite(args.t_end) and args.t_end * 1e-5 > 0):
-        raise ValidationError(f"--t-end must be finite with t_end*1e-5 > 0, got {args.t_end}")
-    if args.n_snapshots < 0:
-        raise ValidationError(f"--n-snapshots must be >= 0, got {args.n_snapshots}")
+    if not args.t_end * 1e-5 > 0:
+        raise ValidationError(f"--t-end must have t_end*1e-5 > 0, got {args.t_end}")
     # The probe table starts at t = 0 with |phi| = phi0: fail on an impossible
     # log axis before marching.
     dataio.check_log_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
@@ -370,13 +361,13 @@ def _record(record, args):
 
 def _add_input_flags(parser: argparse.ArgumentParser):
     parser.add_argument("input", help="CSV file with time,value rows")
-    parser.add_argument("--time-col", type=int, default=0)
-    parser.add_argument("--value-col", type=int, default=1)
+    parser.add_argument("--time-col", type=_numbers(int), default=0)
+    parser.add_argument("--value-col", type=_numbers(int), default=1)
     parser.add_argument("--label", default="data")
     parser.add_argument("--cumulative", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="apply the running-sum transform before using the series")
-    parser.add_argument("--accumulation-start", type=float, default=None,
+    parser.add_argument("--accumulation-start", type=_numbers(), default=None,
                         help="drop samples before this time prior to accumulating")
 
 
@@ -401,60 +392,61 @@ def build_parser() -> argparse.ArgumentParser:
         types = typing.get_type_hints(record) if record else {}
         for f in dataclasses.fields(record) if record else ():
             required = f.default is dataclasses.MISSING
-            p.add_argument("--" + f.name.replace("_", "-"), type=types[f.name],
+            p.add_argument("--" + f.name.replace("_", "-"), type=_numbers(types[f.name]),
                            required=required, default=None if required else f.default)
         return p
 
     p = sub("simulate", cmd_simulate, help="evaluate growth curves on a grid")
     p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
-    p.add_argument("--a", type=_float_list, default=[1.0])
-    p.add_argument("--b", type=_float_list, default=[1.0])
-    p.add_argument("--beta", type=_float_list, default=[1.0])
-    p.add_argument("--alpha", type=_int_list, default=[1])
-    p.add_argument("--phi0", type=_float_list, default=[1.0])
-    p.add_argument("--t-min", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--a", type=_numbers(many=True), default=[1.0])
+    p.add_argument("--b", type=_numbers(many=True), default=[1.0])
+    p.add_argument("--beta", type=_numbers(many=True), default=[1.0])
+    p.add_argument("--alpha", type=_numbers(int, many=True), default=[1])
+    p.add_argument("--phi0", type=_numbers(many=True), default=[1.0])
+    p.add_argument("--t-min", type=_numbers(), default=None)
+    p.add_argument("--t-max", type=_numbers(float, ">"), default=20.0)
+    p.add_argument("--points", type=_numbers(int), default=201)
     p.add_argument("--grid", default=_GRID_AUTO,
                    choices=[_GRID_AUTO, _GRID_LINEAR, _GRID_LOG])
 
     p = sub("fit", cmd_fit, help="fit a growth model to a CSV series")
     _add_input_flags(p)
     p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
-    p.add_argument("--alpha", type=int, default=1,
+    p.add_argument("--alpha", type=_numbers(int), default=1,
                    help="fixed nonlinearity exponent for the logistic family")
     p.add_argument("--loss", default=fitting.LOSS_LINEAR,
                    choices=[fitting.LOSS_LINEAR, fitting.LOSS_LOG])
-    p.add_argument("--guess", type=_float_list, default=None,
+    p.add_argument("--guess", type=_numbers(many=True), default=None,
                    help="comma-separated initial parameter guess")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--points", type=int, default=200,
+    p.add_argument("--tol", type=_numbers(), default=1e-10)
+    p.add_argument("--max-iter", type=_numbers(int), default=200)
+    p.add_argument("--points", type=_numbers(int), default=200,
                    help="grid size for the fitted overlay curve")
 
     p = sub("analyze", cmd_analyze, help="fixed-point stability report")
-    p.add_argument("--rates", type=_float_list,
+    p.add_argument("--rates", type=_numbers(many=True),
                    default=[1.0, 1.0, 0.5, 1.0, 1.0, 0.5],
                    help="aR,bR,eRS,aS,bS,eSR for the demo system")
-    p.add_argument("--guess", type=_float_list, default=[2.0, 2.0])
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--guess", type=_numbers(many=True), default=[2.0, 2.0])
+    p.add_argument("--tol", type=_numbers(), default=1e-10)
 
     p = sub("compete", cmd_compete, dynsys.CompetitionParams,
             help="two-species shared-resource competition")
-    p.add_argument("--init", type=_float_list, default=[1.0, 1.0])
-    p.add_argument("--t-end", type=float, default=None,
+    p.add_argument("--init", type=_numbers(float, ">", many=True), default=[1.0, 1.0],
+                   help="phi1,phi2, each > 0: an extinct species stays extinct")
+    p.add_argument("--t-end", type=_numbers(), default=None,
                    help="default: 50 / min(a1, a2)")
-    p.add_argument("--points", type=int, default=501)
+    p.add_argument("--points", type=_numbers(int, ">"), default=501)
 
     p = sub("pde", cmd_pde, fields.AdvectionSetup, help="forced advection field evolution")
-    p.add_argument("--t-end", type=float, default=2500.0)
-    p.add_argument("--probe-x", type=_float_list, default=[50.0])
-    p.add_argument("--n-snapshots", type=int, default=200)
+    p.add_argument("--t-end", type=_numbers(), default=2500.0)
+    p.add_argument("--probe-x", type=_numbers(many=True), default=[50.0])
+    p.add_argument("--n-snapshots", type=_numbers(int, ">="), default=200)
 
     p = sub("classify-early", cmd_classify_early,
             help="exponential-vs-power-law verdict on a CSV series")
     _add_input_flags(p)
-    p.add_argument("--window", type=float, default=1.0,
+    p.add_argument("--window", type=_numbers(), default=1.0,
                    help="leading fraction of the time span to classify")
     return parser
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataIOError, LogAxisError, ValidationError
+from .errors import DataIOError, LogAxisError, ValidationError, check_number
 
 KIND_ANNUAL = "annual"
 KIND_CUMULATIVE = "cumulative"
@@ -97,6 +97,8 @@ def read_csv(source, time_col: int = 0, value_col: int = 1, label: str = "",
     parse as numbers.  Parse failures, duplicate or non-monotone times, and
     empty input all raise DataIOError with a 1-based line number.
     """
+    time_col = check_number("time_col", time_col, int)
+    value_col = check_number("value_col", value_col, int)
     if hasattr(source, "read"):
         text = source.read()
         origin = getattr(source, "name", "<stream>")

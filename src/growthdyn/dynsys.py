@@ -274,6 +274,8 @@ def coupled_logistic_demo(a_r: float = 1.0, b_r: float = 1.0, e_rs: float = 0.5,
     With the default parameters the interior equilibrium sits at (2, 2) and is
     a stable node (eigenvalues -1 and -3).
     """
+    a_r, b_r, e_rs, a_s, b_s, e_sr = (check_number(name, v) for name, v in zip(
+        ("a_r", "b_r", "e_rs", "a_s", "b_s", "e_sr"), (a_r, b_r, e_rs, a_s, b_s, e_sr)))
     def rhs(state):
         r, s = state
         return np.array([r * (a_r - b_r * r + e_rs * s),

@@ -111,6 +111,7 @@ def diffusion_point_source(p: DiffusionParams, x, t: float):
 
     Even in x; the integral over all x is 1 for every t.
     """
+    t = check_number("t", t)
     if not t > 0:
         raise DomainError(f"point-source profile requires t > 0, got t={t}")
     x_arr = np.asarray(x, dtype=float)
@@ -132,19 +133,20 @@ def _char_residual(phi: float, c: float, x: float, t: float) -> float:
 
 
 def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float:
-    """Exact field value from the characteristic implicit relation.
+    """Root of the characteristic implicit relation g(phi) = 0 (_char_residual).
 
-    Solves g(phi) = 0 on the physical branch [0, sqrt(2/x)] by bisection down
-    to adjacent floats, so the root and one of its neighbours bracket the sign
-    change of the computed g.  The relation describes growth from the
-    globally flat zero start; at t = 0 the root is exactly 0 and as t grows
-    it rises monotonically toward sqrt(2/x), independently of c.  That rise
-    from exactly 0 holds only where c**2*x >= 2, a known limit: elsewhere
-    g'(0) = (2/x)(c*x - 2/c) < 0, so for any t > 0 the only sign change on
-    the branch is the far root, and the value jumps at t = 0 (to 0.79 at
-    x = c = 1, even at t = 1e-300).  Every c the setup accepts gives a root.
+    Solves g(phi) = phi**2 - (2/x)*[1 - (phi/c + 1)**-2 * exp(c*phi*x - c**3*t)]
+    on the branch [0, sqrt(2/x)] by bisection down to adjacent floats, so the
+    root and one of its neighbours bracket the sign change of the computed g.
+    It is not the field that grows from the flat zero start: at c = 1 and
+    (x, t) = (50, 50) it reads 0.2000, where free fall from rest and the march
+    read 0.0197.  Where c**2*x >= 2 the root is 0 at t = 0 and rises
+    monotonically toward sqrt(2/x); elsewhere g'(0) = (2/x)(c*x - 2/c) < 0, so
+    for t > 0 the only sign change is the far root and the value jumps at
+    t = 0 (to 0.79 at x = c = 1).  Every c the setup accepts gives a root.
     A negative or NaN t raises DomainError.
     """
+    x = check_number("x", x)
     if not setup.x_min <= x <= setup.x_max:
         raise DomainError(
             f"x={x} outside the solver domain [{setup.x_min}, {setup.x_max}]")
@@ -280,6 +282,7 @@ def probe_series(snapshots, x_probe: float):
     """
     if not snapshots:
         raise ValidationError("no snapshots to probe")
+    x_probe = check_number("x_probe", x_probe)
     times = np.array([snap.t for snap in snapshots])
     values = np.empty(times.size)
     for i, snap in enumerate(snapshots):

@@ -320,6 +320,7 @@ def early_growth_classifier(series: TimeSeries, window: float = 1.0) -> Classifi
     coefficient of determination, with verdicts closer than 0.02 declared
     indeterminate.  All windowed samples must have positive t and y.
     """
+    window = check_number("window", window)
     if not 0 < window <= 1:
         raise ValidationError(f"window must lie in (0, 1], got {window}")
     t = series.times

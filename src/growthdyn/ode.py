@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, StiffnessError, ValidationError, check_record
+from .errors import NumericalError, StiffnessError, ValidationError, check_number, check_record
 
 # Dormand--Prince 5(4) tableau; the last row of _DP_A is the 5th-order
 # solution, whose derivative is the 7th stage (first-same-as-last).
@@ -53,9 +53,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
-def _check_span(t0, t1):
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ValidationError(f"need finite t1 > t0, got t0={t0}, t1={t1}")
+def _check_span(t0, t1, **positive):
+    t0, t1 = check_number("t0", t0), check_number("t1", t1)
+    if not t1 > t0:
+        raise ValidationError(f"need t1 > t0, got t0={t0}, t1={t1}")
+    return t0, t1, *(check_number(name, v, float, ">") for name, v in positive.items())
 
 
 def _initial_state(system, y0):
@@ -85,10 +87,10 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     the first call and the state's finiteness once per step; a march of more
     than _MAX_STEPS steps is refused before anything is allocated.
     """
-    _check_span(t0, t1)
+    t0, t1, dt = _check_span(t0, t1, dt=dt)
     span = t1 - t0
-    if not (math.isfinite(dt) and 0 < dt <= span * (1 + 1e-12)):
-        raise ValidationError(f"need 0 < dt <= t1 - t0, got dt={dt}")
+    if not dt <= span * (1 + 1e-12):
+        raise ValidationError(f"need dt <= t1 - t0, got dt={dt}")
     y = _initial_state(system, y0)
     if span / dt > _MAX_STEPS:
         raise NumericalError(
@@ -132,9 +134,7 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     aborts, a step below 1e-14*(t1 - t0) raises StiffnessError, and more than
     _MAX_STEPS tried steps, accepted or rejected, raise NumericalError.
     """
-    _check_span(t0, t1)
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValidationError(f"tolerances must be positive, got rel={rel_tol}, abs={abs_tol}")
+    t0, t1, rel_tol, abs_tol = _check_span(t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
     y = _initial_state(system, y0)
     span = t1 - t0
     times = [t0]

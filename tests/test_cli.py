@@ -1,4 +1,5 @@
 """Command-line driver: subcommands, exit codes, config files, artifacts."""
+import argparse
 import csv
 import json
 import math
@@ -169,8 +170,10 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("flags,message", [
-        (["--model", "power", "--t-max", "inf"], "got inf - 0.0"),
-        (["--model", "saturating", "--t-min=-inf"], "got 20.0 - -inf"),
+        # the default start t_max*1e-4 underflows to 0
+        (["--model", "power", "--grid", "log", "--t-max", "1e-320"],
+         "log-spaced grid needs --t-min > 0"),
+        (["--model", "power", "--beta", "1e308", "--t-max", "10"], "leaves float64 range"),
         (["--model", "power", "--t-min=-1e308", "--t-max", "1e308"],
          "got 1e+308 - -1e+308"),  # both finite, but the span overflows
         (["--model", "logistic", "--alpha", "3", "--phi0", "1e200"], "b*phi0**alpha=inf"),
@@ -460,11 +463,13 @@ class TestCompete:
 
     @pytest.mark.parametrize("points", ["0", "-4"])
     def test_bad_points_exit_2(self, tmp_path, capsys, points):
-        code = main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
-                     "--d2", "1", "--b", "1", "--c", "1", "--points", points,
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "--points must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
+                  "--d2", "1", "--b", "1", "--c", "1", "--points", points,
+                  "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"argument --points: value must be > 0 (an integer), got {float(points)}" \
+            in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_single_point_is_valid(self, tmp_path, capsys):
@@ -525,9 +530,11 @@ class TestPde:
         assert code == 2
 
     def test_negative_snapshot_count_exit_2(self, tmp_path, capsys):
-        code = main(["pde", "--n-snapshots", "-3", "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "--n-snapshots must be >= 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["pde", "--n-snapshots", "-3", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "argument --n-snapshots: value must be >= 0 (an integer), got -3.0" \
+            in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_snapshots_is_valid(self, tmp_path, capsys):
@@ -557,7 +564,7 @@ class TestPde:
         (["--phi0", "1e150", "--n-cells", "64"], 3, "over the budget"),
         (["--x-min", "1e-170", "--x-max", "2e-170"], 2, "1/x_min**2 overflows"),
         (["--x-max", "1e300", "--n-cells", "64", "--t-end", "1"], 2, "x_max**2 overflows"),
-        (["--t-end", "inf"], 2, "--t-end must be finite"),
+        (["--t-end", "-1"], 2, "t_end*1e-5 > 0, got -1.0"),
         (["--t-end", "1e-320"], 2, "t_end*1e-5 > 0, got 1e-320"),  # it underflows to 0
     ])
     def test_extreme_setups_end_in_a_typed_error_promptly(
@@ -705,12 +712,15 @@ class TestParsing:
                   "--out-dir", str(tmp_path)])
 
 
+_RATES = ["--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1", "--b", "1", "--c", "1"]
+
+
 class TestFlagChecks:
     """Each flag check, reached once: exit 2 with one stderr line, no files."""
 
     @pytest.mark.parametrize("argv, message", [
         (["--a", "x"], "argument --a: expected comma-separated numbers"),
-        (["--alpha", "1.5"], "argument --alpha: expected integers"),
+        (["--alpha", "1.5"], "argument --alpha: value must be an integer, got 1.5"),
     ])
     def test_list_flags_are_usage_errors(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
@@ -719,21 +729,91 @@ class TestFlagChecks:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--model", "power", "--t-max", "0"], "--t-max must be > 0"),
+        (["analyze", "--rates", "1,2"], "--rates takes 6 comma-separated values"),
         (["simulate", "--model", "power", "--points", "1"], "--points must be >= 2"),
         (["simulate", "--model", "power", "--t-min", "5", "--t-max", "2"],
          "need --t-min < --t-max, got 5.0 >= 2.0"),
         (["simulate", "--model", "power", "--grid", "log", "--t-min", "0"],
          "log-spaced grid needs --t-min > 0"),
         (["analyze", "--guess", "1,2,3"], "--guess takes 2 comma-separated values"),
-        (["compete", "--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1", "--b", "1",
-          "--c", "1", "--init", "0,1"], "--init values must be > 0"),
     ])
     def test_value_checks_exit_2(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "power", "--t-max", "0"],
+         "argument --t-max: value must be > 0 (a finite real), got 0.0"),
+        (["simulate", "--model", "power", "--t-max", "inf"],
+         "argument --t-max: value must be > 0 (a finite real), got inf"),
+        (["simulate", "--model", "saturating", "--t-min=-inf"],
+         "argument --t-min: value must be a finite real, got -inf"),
+        (["simulate", "--model", "power", "--points", "5.5"],
+         "argument --points: value must be an integer, got 5.5"),
+        (["simulate", "--model", "power", "--t-max", "x"],
+         "argument --t-max: expected a number, got 'x'"),
+        (["compete", *_RATES, "--init", "0,1"],
+         "argument --init: value must be > 0 (a finite real), got 0.0"),
+        (["compete", *_RATES, "--init", "1,nan"],
+         "argument --init: value must be > 0 (a finite real), got nan"),
+        (["compete", *_RATES, "--a1", "nan"], "argument --a1: value must be a finite real, got nan"),
+        (["analyze", "--rates", "1,1,0.5,1,1,nan"],
+         "argument --rates: value must be a finite real, got nan"),
+        (["pde", "--t-end", "inf"], "argument --t-end: value must be a finite real, got inf"),
+        (["pde", "--n-cells", "64.5"], "argument --n-cells: value must be an integer, got 64.5"),
+    ])
+    def test_number_rule_refusals_are_usage_errors(self, tmp_path, capsys, argv, message):
+        # the flag's type refuses the value, before any command runs
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["pde", "--x-max", "20", "--t-end", "5", "--n-snapshots", "4", "--probe-x", "10"],
+         "--n-cells", "64"),
+        (["fit", "{data}", "--model", "logistic"], "--alpha", "2"),
+        (["simulate", "--model", "power"], "--points", "5"),
+    ])
+    def test_integral_floats_run_as_their_integers(self, tmp_path, argv, flag, value):
+        t = np.linspace(0.0, 8.0, 40)
+        y = models.evaluate(models.GeneralizedLogisticParams(2.0, 1.0, 2, 0.1), t)
+        data = tmp_path / "logistic.csv"
+        data.write_text("".join(f"{ti!r},{yi!r}\n" for ti, yi in zip(t.tolist(), y.tolist())))
+        argv = [str(data) if a == "{data}" else a for a in argv]
+        written = {}
+        for spelling in (value, value + ".0"):
+            out = tmp_path / spelling
+            assert main([*argv, flag, spelling, "--out-dir", str(out)]) == 0
+            written[spelling] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert written[value] and written[value] == written[value + ".0"]
+
+    def test_every_numeric_flag_follows_the_number_rule(self):
+        # a flag typed int or float, or a numeric flag left untyped, would
+        # be a second number rule beside errors.check_number
+        rule = cli._numbers().__code__
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        typed = 0
+        for name, parser in subcommands.items():
+            for action in parser._actions:
+                default = action.default
+                numeric = isinstance(default, (int, float, list)) \
+                    and not isinstance(default, bool)
+                if action.type is None:
+                    assert not numeric, (name, action.dest)
+                    continue
+                assert action.type not in (int, float), (name, action.dest)
+                assert getattr(action.type, "__code__", None) is rule, (name, action.dest)
+                if default is not None:  # the default passes its own flag's rule
+                    text = ",".join(map(repr, default)) if isinstance(default, list) \
+                        else repr(default)
+                    assert action.type(text) == default, (name, action.dest)
+                typed += 1
+        assert typed == 41  # 19 scalar (the input flags twice), 10 list, 12 record flags
 
     def test_accumulation_start_keeps_later_samples(self, tmp_path, capsys):
         data = tmp_path / "pow.csv"

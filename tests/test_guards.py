@@ -1,17 +1,22 @@
 """Input guards: each refusal the library states, reached by an input."""
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from growthdyn import (LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR, AdvectionSetup,
-                       AutonomousSystem, DomainError, FieldSnapshot, FitProblem,
-                       NumericalError, ParameterError, TimeSeries, ValidationError,
-                       classify, coupled_logistic_demo, emit_plot_series,
+                       AutonomousSystem, DiffusionParams, DomainError, FieldSnapshot,
+                       FitProblem, NumericalError, ParameterError, TimeSeries,
+                       ValidationError, classify, coupled_logistic_demo,
+                       diffusion_point_source, early_growth_classifier, emit_plot_series,
                        euler_characteristic_phi, evolve_advection_fd, find_fixed_point,
-                       fit, integrate_adaptive, linearize, models, probe_series)
+                       fit, integrate_adaptive, integrate_fixed, linearize, models,
+                       probe_series, read_csv)
 
 SMALL = AdvectionSetup(x_max=20.0, n_cells=16)
+DECAY = AutonomousSystem(1, lambda y: -y)
 
 
 def _series(t0=0.0):
@@ -148,12 +153,66 @@ class TestMisc:
     @pytest.mark.parametrize("rel_tol, abs_tol", [(0.0, 1e-10), (1e-8, 0.0),
                                                   (-1e-8, 1e-10), (math.nan, 1e-10)])
     def test_adaptive_tolerances_positive(self, rel_tol, abs_tol):
-        with pytest.raises(ValidationError, match="tolerances must be positive"):
-            integrate_adaptive(AutonomousSystem(1, lambda y: -y), [1.0], 0.0, 1.0,
-                               rel_tol=rel_tol, abs_tol=abs_tol)
+        name, value = ("rel_tol", rel_tol) if not rel_tol > 0 else ("abs_tol", abs_tol)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be > 0 (a finite real), got {value!r}")):
+            integrate_adaptive(DECAY, [1.0], 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def test_plot_series_lengths_match(self, tmp_path):
         with pytest.raises(ValidationError, match="entry 1: x and y must match"):
             emit_plot_series([("a", [0.0, 1.0], [1.0, 2.0]), ("b", [0.0, 1.0], [1.0])],
                              "linear", str(tmp_path / "out.csv"))
         assert list(tmp_path.iterdir()) == []
+
+
+_SNAPSHOTS = [FieldSnapshot(t=0.0, x_grid=np.arange(3.0), phi=np.zeros(3))]
+_RATES = ("a_r", "b_r", "e_rs", "a_s", "b_s", "e_sr")
+
+# (function, scalar argument): a call that passes the value as that argument
+_SCALAR_ARGUMENTS = {
+    ("integrate_fixed", "t0"): lambda v: integrate_fixed(DECAY, [1.0], v, 1.0, 0.1),
+    ("integrate_fixed", "t1"): lambda v: integrate_fixed(DECAY, [1.0], 0.0, v, 0.1),
+    ("integrate_fixed", "dt"): lambda v: integrate_fixed(DECAY, [1.0], 0.0, 1.0, v),
+    ("integrate_adaptive", "t0"): lambda v: integrate_adaptive(DECAY, [1.0], v, 1.0),
+    ("integrate_adaptive", "t1"): lambda v: integrate_adaptive(DECAY, [1.0], 0.0, v),
+    ("integrate_adaptive", "rel_tol"):
+        lambda v: integrate_adaptive(DECAY, [1.0], 0.0, 1.0, rel_tol=v),
+    ("integrate_adaptive", "abs_tol"):
+        lambda v: integrate_adaptive(DECAY, [1.0], 0.0, 1.0, abs_tol=v),
+    ("early_growth_classifier", "window"):
+        lambda v: early_growth_classifier(_series(0.5), window=v),
+    ("diffusion_point_source", "t"):
+        lambda v: diffusion_point_source(DiffusionParams(1.0), 0.0, v),
+    ("euler_characteristic_phi", "x"):
+        lambda v: euler_characteristic_phi(AdvectionSetup(), v, 1.0),
+    ("probe_series", "x_probe"): lambda v: probe_series(_SNAPSHOTS, v),
+    ("read_csv", "time_col"): lambda v: read_csv(io.StringIO("0,1\n1,2\n"), time_col=v),
+    ("read_csv", "value_col"): lambda v: read_csv(io.StringIO("0,1\n1,2\n"), value_col=v),
+    **{("coupled_logistic_demo", rate): lambda v, rate=rate: coupled_logistic_demo(**{rate: v})
+       for rate in _RATES},
+}
+
+
+class TestScalarArguments:
+    """Every public scalar argument follows the number rule before its own checks."""
+
+    @pytest.mark.parametrize("bad", ["1", None, True, math.nan, math.inf])
+    @pytest.mark.parametrize("function, argument", list(_SCALAR_ARGUMENTS))
+    def test_refused_with_the_argument_named(self, function, argument, bad):
+        # the parent leaked bare TypeErrors here, and let True or inf run
+        with pytest.raises(ParameterError,
+                           match=rf"^{argument} must be .*, got {re.escape(repr(bad))}$"):
+            _SCALAR_ARGUMENTS[function, argument](bad)
+
+    def test_integral_floats_index_columns(self):
+        text = "t,a,b\n1,2,3\n2,4,6\n"
+        by_float = read_csv(io.StringIO(text), time_col=0.0, value_col=2.0)
+        by_numpy = read_csv(io.StringIO(text), time_col=np.int64(0), value_col=np.int8(2))
+        assert by_float.values.tolist() == by_numpy.values.tolist() == [3.0, 6.0]
+
+    def test_range_checks_follow_the_rule(self):
+        # a number the rule takes still meets the function's own range check
+        with pytest.raises(DomainError, match="x=0.5 outside the solver domain"):
+            euler_characteristic_phi(AdvectionSetup(), np.float32(0.5), 1.0)
+        with pytest.raises(ValidationError, match="need dt <= t1 - t0, got dt=2.0"):
+            integrate_fixed(DECAY, [1.0], 0.0, 1.0, 2)
