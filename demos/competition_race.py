@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from growthdyn import (AXES_LINEAR, CompetitionParams, MARGINAL,
+from growthdyn import (AXES_LINEAR, CompetitionParams, GrowthDynError, MARGINAL,
                        competition_system, emit_plot_series,
                        exclusion_verdict, integrate_adaptive, interp_states)
 
@@ -44,4 +44,7 @@ if __name__ == "__main__":
     parser.add_argument("--b", type=float, default=1.0)
     parser.add_argument("--c", type=float, default=1.0)
     parser.add_argument("--t-end", type=float, default=None)
-    main(parser.parse_args())
+    try:
+        main(parser.parse_args())
+    except GrowthDynError as exc:  # one error line and exit 2, not a traceback
+        parser.exit(2, f"error: {exc}\n")

@@ -5,7 +5,7 @@ import argparse
 
 import numpy as np
 
-from growthdyn import (coupled_logistic_demo, integrate_adaptive,
+from growthdyn import (GrowthDynError, coupled_logistic_demo, integrate_adaptive,
                        stability_report)
 
 
@@ -51,4 +51,7 @@ if __name__ == "__main__":
     parser.add_argument("--b-s", type=float, default=1.0)
     parser.add_argument("--e-sr", type=float, default=0.5)
     parser.add_argument("--guess", type=float, nargs=2, default=[2.0, 2.0])
-    main(parser.parse_args())
+    try:
+        main(parser.parse_args())
+    except GrowthDynError as exc:  # one error line and exit 2, not a traceback
+        parser.exit(2, f"error: {exc}\n")

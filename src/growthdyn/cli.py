@@ -27,17 +27,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
 import os
 import sys
-import typing
 
 import numpy as np
 
 from . import dataio, dynsys, fields, fitting, models
-from .errors import DataIOError, NumericalError, ParameterError, ValidationError, check_number
+from .errors import (DataIOError, NumericalError, ParameterError, ValidationError,
+                     _number_fields, check_number)
 from .ode import integrate_adaptive, interp_states
 
 OUT_DIR_ENV = "GROWTHDYN_OUT"
@@ -54,7 +55,8 @@ _GRID_LOG = "log"
 
 def _numbers(kind=float, sign="", many=False):
     """argparse type: errors.check_number(kind, sign) on the flag's value or,
-    if many, on each of its comma-separated values (at least one)."""
+    if many, on each of its comma-separated values: one or more if many is
+    True, else exactly many."""
     def parse(text: str):
         tokens = [tok for tok in text.split(",") if tok.strip()] if many else [text]
         try:  # a list with no values fails as float(text)
@@ -64,6 +66,9 @@ def _numbers(kind=float, sign="", many=False):
         except ValueError:
             what = "comma-separated numbers" if many else "a number"
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if many and many is not True and len(out) != many:
+            raise argparse.ArgumentTypeError(f"expected {many} comma-separated numbers, "
+                                             f"got {text!r}")
         return out if many else out[0]
     return parse
 
@@ -233,18 +238,11 @@ def cmd_fit(args):
 # ----------------------------------------------------------------- analyze
 
 def cmd_analyze(args):
-    rates = args.rates
-    if len(rates) != 6:
-        raise ValidationError(
-            "--rates takes 6 comma-separated values: aR,bR,eRS,aS,bS,eSR")
-    system = dynsys.coupled_logistic_demo(*rates)
-    guess = args.guess
-    if len(guess) != 2:
-        raise ValidationError("--guess takes 2 comma-separated values: x,y")
-    report = dynsys.stability_report(system, guess, tol=args.tol)
+    system = dynsys.coupled_logistic_demo(*args.rates)
+    report = dynsys.stability_report(system, args.guess, tol=args.tol)
     return [], {
         "demo": "coupled-logistic",
-        "rates": dict(zip(("aR", "bR", "eRS", "aS", "bS", "eSR"), rates)),
+        "rates": dict(zip(("aR", "bR", "eRS", "aS", "bS", "eSR"), args.rates)),
         **dataclasses.asdict(report),
     }
 
@@ -255,8 +253,6 @@ def cmd_compete(args):
     params = _record(dynsys.CompetitionParams, args)
     verdict = dynsys.exclusion_verdict(params)
     init = args.init
-    if len(init) != 2:
-        raise ValidationError("--init takes 2 comma-separated values: phi1,phi2")
     # The table starts at t = 0: fail on an impossible log axis before integrating.
     dataio.check_log_axes("phi1", np.zeros(1), np.array(init[:1]), args.axes)
     t_end = args.t_end if args.t_end is not None else 50.0 / min(args.a1, args.a2)
@@ -361,8 +357,6 @@ def _record(record, args):
 
 def _add_input_flags(parser: argparse.ArgumentParser):
     parser.add_argument("input", help="CSV file with time,value rows")
-    parser.add_argument("--time-col", type=_numbers(int), default=0)
-    parser.add_argument("--value-col", type=_numbers(int), default=1)
     parser.add_argument("--label", default="data")
     parser.add_argument("--cumulative", action=argparse.BooleanOptionalAction,
                         default=False,
@@ -383,71 +377,66 @@ def build_parser() -> argparse.ArgumentParser:
                     "field evolution.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name, func, record=None, **kwargs):
-        # The common flags, then one flag per field of the record class, typed
-        # and defaulted by it (required where the field has no default).
+    def sub(name, func, *sources, **kwargs):
+        # The common flags, then one flag per float or int parameter of each
+        # source (a record class or a function), typed and defaulted by it
+        # (required where it has no default).
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         _add_common(p)
         p.set_defaults(func=func)
-        types = typing.get_type_hints(record) if record else {}
-        for f in dataclasses.fields(record) if record else ():
-            required = f.default is dataclasses.MISSING
-            p.add_argument("--" + f.name.replace("_", "-"), type=_numbers(types[f.name]),
-                           required=required, default=None if required else f.default)
+        for source in sources:
+            for field, _, kind, default in _number_fields(source):
+                required = default is inspect.Parameter.empty
+                p.add_argument("--" + field.replace("_", "-"), type=_numbers(kind),
+                               required=required, default=None if required else default)
         return p
 
     p = sub("simulate", cmd_simulate, help="evaluate growth curves on a grid")
     p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
-    p.add_argument("--a", type=_numbers(many=True), default=[1.0])
-    p.add_argument("--b", type=_numbers(many=True), default=[1.0])
-    p.add_argument("--beta", type=_numbers(many=True), default=[1.0])
-    p.add_argument("--alpha", type=_numbers(int, many=True), default=[1])
-    p.add_argument("--phi0", type=_numbers(many=True), default=[1.0])
+    for field, kind in {name: kind for family in models.FAMILIES.values()
+                        for name, _, kind, _ in _number_fields(family)}.items():
+        p.add_argument("--" + field, type=_numbers(kind, many=True), default=[kind(1)])
     p.add_argument("--t-min", type=_numbers(), default=None)
     p.add_argument("--t-max", type=_numbers(float, ">"), default=20.0)
     p.add_argument("--points", type=_numbers(int), default=201)
     p.add_argument("--grid", default=_GRID_AUTO,
                    choices=[_GRID_AUTO, _GRID_LINEAR, _GRID_LOG])
 
-    p = sub("fit", cmd_fit, help="fit a growth model to a CSV series")
+    p = sub("fit", cmd_fit, dataio.read_csv, fitting.FitProblem, fitting.fit,
+            help="fit a growth model to a CSV series")
     _add_input_flags(p)
     p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
-    p.add_argument("--alpha", type=_numbers(int), default=1,
-                   help="fixed nonlinearity exponent for the logistic family")
     p.add_argument("--loss", default=fitting.LOSS_LINEAR,
                    choices=[fitting.LOSS_LINEAR, fitting.LOSS_LOG])
     p.add_argument("--guess", type=_numbers(many=True), default=None,
                    help="comma-separated initial parameter guess")
-    p.add_argument("--tol", type=_numbers(), default=1e-10)
-    p.add_argument("--max-iter", type=_numbers(int), default=200)
     p.add_argument("--points", type=_numbers(int), default=200,
                    help="grid size for the fitted overlay curve")
 
-    p = sub("analyze", cmd_analyze, help="fixed-point stability report")
-    p.add_argument("--rates", type=_numbers(many=True),
-                   default=[1.0, 1.0, 0.5, 1.0, 1.0, 0.5],
+    p = sub("analyze", cmd_analyze, dynsys.stability_report, help="fixed-point stability report")
+    p.add_argument("--rates", type=_numbers(many=6),
+                   default=[rate for *_, rate in _number_fields(dynsys.coupled_logistic_demo)],
                    help="aR,bR,eRS,aS,bS,eSR for the demo system")
-    p.add_argument("--guess", type=_numbers(many=True), default=[2.0, 2.0])
-    p.add_argument("--tol", type=_numbers(), default=1e-10)
+    p.add_argument("--guess", type=_numbers(many=2), default=[2.0, 2.0])
 
     p = sub("compete", cmd_compete, dynsys.CompetitionParams,
             help="two-species shared-resource competition")
-    p.add_argument("--init", type=_numbers(float, ">", many=True), default=[1.0, 1.0],
+    p.add_argument("--init", type=_numbers(float, ">", many=2), default=[1.0, 1.0],
                    help="phi1,phi2, each > 0: an extinct species stays extinct")
     p.add_argument("--t-end", type=_numbers(), default=None,
                    help="default: 50 / min(a1, a2)")
     p.add_argument("--points", type=_numbers(int, ">"), default=501)
 
+    # --c changes no table, only the report's setup.c: the march never reads it
     p = sub("pde", cmd_pde, fields.AdvectionSetup, help="forced advection field evolution")
     p.add_argument("--t-end", type=_numbers(), default=2500.0)
     p.add_argument("--probe-x", type=_numbers(many=True), default=[50.0])
     p.add_argument("--n-snapshots", type=_numbers(int, ">="), default=200)
 
-    p = sub("classify-early", cmd_classify_early,
+    p = sub("classify-early", cmd_classify_early, dataio.read_csv,
+            fitting.early_growth_classifier,
             help="exponential-vs-power-law verdict on a CSV series")
     _add_input_flags(p)
-    p.add_argument("--window", type=_numbers(), default=1.0,
-                   help="leading fraction of the time span to classify")
     return parser
 
 

@@ -5,10 +5,10 @@ The split mirrors how the CLI reports failures: bad inputs or parameters
 with reading or writing data files (DataIOError).
 """
 import functools
+import inspect
 import math
 import numbers
 import typing
-from dataclasses import fields
 
 
 class GrowthDynError(Exception):
@@ -78,15 +78,18 @@ def check_number(name, value, kind=float, sign=""):
 
 
 @functools.cache
-def _number_fields(cls):
-    hints = typing.get_type_hints(cls)  # the hints the CLI types its flags by
-    return tuple((f.name, f"{cls.__name__}.{f.name}", hints[f.name]) for f in fields(cls)
-                 if hints[f.name] in (float, int))
+def _number_fields(source):
+    """(name, label, kind, default) of each float or int parameter of a record
+    class or function; default is inspect.Parameter.empty where there is none."""
+    hints = typing.get_type_hints(source)
+    return tuple((p.name, f"{source.__name__}.{p.name}", hints[p.name], p.default)
+                 for p in inspect.signature(source).parameters.values()
+                 if hints.get(p.name) in (float, int))
 
 
 def check_record(record, positive=(), non_negative=()):
     """check_number on each float and int field of a frozen dataclass, > 0 if
     named positive and >= 0 if non_negative; stores the number it returns."""
-    for name, label, kind in _number_fields(type(record)):
+    for name, label, kind, _ in _number_fields(type(record)):
         sign = ">" if name in positive else ">=" if name in non_negative else ""
         object.__setattr__(record, name, check_number(label, getattr(record, name), kind, sign))

@@ -144,9 +144,10 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
     monotonically toward sqrt(2/x); elsewhere g'(0) = (2/x)(c*x - 2/c) < 0, so
     for t > 0 the only sign change is the far root and the value jumps at
     t = 0 (to 0.79 at x = c = 1).  Every c the setup accepts gives a root.
-    A negative or NaN t raises DomainError.
+    t = inf gives the late-time limit; a negative or NaN t raises DomainError.
     """
     x = check_number("x", x)
+    t = check_number("t", t) if t == t != math.inf else t  # inf passes; NaN fails t >= 0
     if not setup.x_min <= x <= setup.x_max:
         raise DomainError(
             f"x={x} outside the solver domain [{setup.x_min}, {setup.x_max}]")
@@ -182,7 +183,7 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
 def euler_terminal_profile(setup: AdvectionSetup, x):
     """Long-time field magnitude sqrt(phi0**2 + 2/x); sqrt(2/x) for a zero start."""
     x_arr = np.asarray(x, dtype=float)
-    if (x_arr <= 0).any():
+    if not (x_arr > 0).all():  # NaN too
         raise DomainError(f"terminal profile requires x > 0, got {x!r}")
     out = np.sqrt(setup.phi0 ** 2 + 2.0 / x_arr)
     return float(out) if x_arr.ndim == 0 else out

@@ -126,7 +126,7 @@ def _dlog_dtheta(params, t):
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    negative = arr < 0
+    negative = ~(arr >= 0)  # NaN too
     if negative.any():
         i = int(np.argmax(negative))  # the first, in flat order
         where = f" at index {i}" if arr.ndim else ""

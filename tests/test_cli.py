@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, config files, artifacts."""
 import argparse
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -413,8 +414,13 @@ class TestAnalyze:
         assert eigs[1] == pytest.approx(-1.0, abs=1e-5)
 
     def test_bad_rates_count_exit_2(self, tmp_path, capsys):
-        code = main(["analyze", "--rates", "1,2", "--out-dir", str(tmp_path)])
-        assert code == 2
+        # the flag's type takes exactly six values, so a short list is a usage error
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--rates", "1,2", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --rates: expected 6 comma-separated numbers, got '1,2'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_demo_exit_2(self, tmp_path):
         # analyze has one demo system, so --demo is no flag at all
@@ -456,10 +462,14 @@ class TestCompete:
         assert report["survivor_limit"] is None
 
     def test_bad_init_exit_2(self, tmp_path, capsys):
-        code = main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
-                     "--d2", "1", "--b", "1", "--c", "1", "--init", "1",
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["compete", "--a1", "2", "--a2", "1", "--d1", "1",
+                  "--d2", "1", "--b", "1", "--c", "1", "--init", "1",
+                  "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --init: expected 2 comma-separated numbers, got '1'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("points", ["0", "-4"])
     def test_bad_points_exit_2(self, tmp_path, capsys, points):
@@ -714,6 +724,47 @@ class TestParsing:
 
 _RATES = ["--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1", "--b", "1", "--c", "1"]
 
+# subcommand -> numeric flag -> (kind, sign, arity, default): arity 1 is one
+# value, "1+" one or more comma-separated values, n exactly n of them.
+# Most rows come from a record field or a library parameter, so a signature
+# change that adds, drops or re-defaults a flag shows here.
+_FLAG_TABLE = {
+    "simulate": {
+        "--a": (float, "", "1+", [1.0]), "--b": (float, "", "1+", [1.0]),
+        "--beta": (float, "", "1+", [1.0]), "--alpha": (int, "", "1+", [1]),
+        "--phi0": (float, "", "1+", [1.0]), "--t-min": (float, "", 1, None),
+        "--t-max": (float, ">", 1, 20.0), "--points": (int, "", 1, 201),
+    },
+    "fit": {
+        "--time-col": (int, "", 1, 0), "--value-col": (int, "", 1, 1),
+        "--alpha": (int, "", 1, 1), "--tol": (float, "", 1, 1e-10),
+        "--max-iter": (int, "", 1, 200), "--accumulation-start": (float, "", 1, None),
+        "--guess": (float, "", "1+", None), "--points": (int, "", 1, 200),
+    },
+    "analyze": {
+        "--tol": (float, "", 1, 1e-10),
+        "--rates": (float, "", 6, [1.0, 1.0, 0.5, 1.0, 1.0, 0.5]),
+        "--guess": (float, "", 2, [2.0, 2.0]),
+    },
+    "compete": {
+        **{f"--{rate}": (float, "", 1, "required")
+           for rate in ("a1", "a2", "d1", "d2", "b", "c")},
+        "--init": (float, ">", 2, [1.0, 1.0]), "--t-end": (float, "", 1, None),
+        "--points": (int, ">", 1, 501),
+    },
+    "pde": {
+        "--c": (float, "", 1, 1.0), "--phi0": (float, "", 1, 0.0),
+        "--x-min": (float, "", 1, 1.0), "--x-max": (float, "", 1, 200.0),
+        "--n-cells": (int, "", 1, 1024), "--cfl": (float, "", 1, 0.9),
+        "--t-end": (float, "", 1, 2500.0), "--probe-x": (float, "", "1+", [50.0]),
+        "--n-snapshots": (int, ">=", 1, 200),
+    },
+    "classify-early": {
+        "--time-col": (int, "", 1, 0), "--value-col": (int, "", 1, 1),
+        "--accumulation-start": (float, "", 1, None), "--window": (float, "", 1, 1.0),
+    },
+}
+
 
 class TestFlagChecks:
     """Each flag check, reached once: exit 2 with one stderr line, no files."""
@@ -729,13 +780,11 @@ class TestFlagChecks:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--rates", "1,2"], "--rates takes 6 comma-separated values"),
         (["simulate", "--model", "power", "--points", "1"], "--points must be >= 2"),
         (["simulate", "--model", "power", "--t-min", "5", "--t-max", "2"],
          "need --t-min < --t-max, got 5.0 >= 2.0"),
         (["simulate", "--model", "power", "--grid", "log", "--t-min", "0"],
          "log-spaced grid needs --t-min > 0"),
-        (["analyze", "--guess", "1,2,3"], "--guess takes 2 comma-separated values"),
     ])
     def test_value_checks_exit_2(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
@@ -763,6 +812,10 @@ class TestFlagChecks:
          "argument --rates: value must be a finite real, got nan"),
         (["pde", "--t-end", "inf"], "argument --t-end: value must be a finite real, got inf"),
         (["pde", "--n-cells", "64.5"], "argument --n-cells: value must be an integer, got 64.5"),
+        (["analyze", "--rates", "1,2"],
+         "argument --rates: expected 6 comma-separated numbers, got '1,2'"),
+        (["analyze", "--guess", "1,2,3"],
+         "argument --guess: expected 2 comma-separated numbers, got '1,2,3'"),
     ])
     def test_number_rule_refusals_are_usage_errors(self, tmp_path, capsys, argv, message):
         # the flag's type refuses the value, before any command runs
@@ -814,6 +867,26 @@ class TestFlagChecks:
                     assert action.type(text) == default, (name, action.dest)
                 typed += 1
         assert typed == 41  # 19 scalar (the input flags twice), 10 list, 12 record flags
+
+    def test_flag_table_is_pinned(self):
+        rule = cli._numbers().__code__
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        table = {}
+        for name, parser in subcommands.items():
+            table[name] = {}
+            for action in parser._actions:
+                if getattr(action.type, "__code__", None) is rule:
+                    spec = inspect.getclosurevars(action.type).nonlocals
+                    arity = "1+" if spec["many"] is True else spec["many"] or 1
+                    default = "required" if action.required else action.default
+                    for flag in action.option_strings:
+                        table[name][flag] = (spec["kind"], spec["sign"], arity, default)
+        assert table == _FLAG_TABLE
+        # == takes 1 for 1.0, so check that each default is of its flag's kind
+        for kind, _, _, default in (row for flags in table.values() for row in flags.values()):
+            values = default if isinstance(default, list) else [default]
+            assert all(type(v) is kind for v in values if v not in (None, "required"))
 
     def test_accumulation_start_keeps_later_samples(self, tmp_path, capsys):
         data = tmp_path / "pow.csv"

@@ -159,6 +159,12 @@ class TestCharacteristicSolution:
         with pytest.raises(DomainError):
             euler_terminal_profile(self.setup, 0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, None, [50.0, math.nan]])
+    def test_terminal_profile_refuses_nan_positions(self, x):
+        # NaN (None reads as NaN) fails x > 0 instead of returning nan
+        with pytest.raises(DomainError, match="terminal profile requires x > 0"):
+            euler_terminal_profile(self.setup, x)
+
 
 class TestCharacteristicParticles:
     def test_energy_conserved_outbound(self):

@@ -204,6 +204,13 @@ class TestScalarArguments:
                            match=rf"^{argument} must be .*, got {re.escape(repr(bad))}$"):
             _SCALAR_ARGUMENTS[function, argument](bad)
 
+    @pytest.mark.parametrize("bad", ["1", None, True, -math.inf])
+    def test_characteristic_time_follows_the_rule(self, bad):
+        # t = inf is the late-time limit, and a NaN t fails t >= 0 (DomainError)
+        with pytest.raises(ParameterError,
+                           match=rf"^t must be .*, got {re.escape(repr(bad))}$"):
+            euler_characteristic_phi(AdvectionSetup(), 50.0, bad)
+
     def test_integral_floats_index_columns(self):
         text = "t,a,b\n1,2,3\n2,4,6\n"
         by_float = read_csv(io.StringIO(text), time_col=0.0, value_col=2.0)

@@ -379,3 +379,17 @@ class TestTerminalLevel:
     def test_non_record_raises(self, obj):
         with pytest.raises(ParameterError, match="no terminal value defined"):
             terminal_value(obj)
+
+
+@pytest.mark.parametrize("evaluate, params", [
+    (eval_power_law, PowerLawParams(a=1, beta=1)),
+    (eval_saturating_linear, SaturatingLinearParams(a=1, b=1)),
+    (eval_logistic_family, GeneralizedLogisticParams(a=5, b=1, alpha=1, phi0=1)),
+    (early_time_approx, SaturatingLinearParams(a=1, b=1)),
+])
+def test_nan_time_fails_the_sign_check(evaluate, params):
+    # named as a time outside t >= 0, not as a value leaving float64 range
+    with pytest.raises(DomainError, match=r"^time must be >= 0, got nan at index 1$"):
+        evaluate(params, [0.0, math.nan])
+    with pytest.raises(DomainError, match=r"^time must be >= 0, got nan$"):
+        evaluate(params, math.nan)
