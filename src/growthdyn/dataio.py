@@ -1,15 +1,18 @@
 """Time-series ingestion, the cumulative transform, and plot-ready output.
 
-CSV input is two numeric columns (time, value) with an optional single header
-line, comma delimiter, dot decimal separator.  numpy's ``loadtxt`` reads the
-columns in one call; a line-by-line ``csv`` pass runs only when that fails,
-to name the faulty line (or to accept a cell that ``float`` takes and numpy
-does not, such as ``1_000``).  Emitted plot files use log base 10 whenever a
-log axis is requested; model math elsewhere in the package works in natural
-logs.  Floats are written with repr(), i.e. the shortest decimal that
-round-trips, so emitting and re-reading a series is lossless.  Writers stream
-fixed blocks of rows, never a whole file in memory.  A JSON plot file is laid
-out exactly as ``json.dump(payload, indent=2, sort_keys=True)`` lays it out.
+CSV input is two numeric columns (time, value) in UTF-8 with an optional
+byte-order mark and single header line, comma delimiter, dot decimal separator.
+The reader parses the stream it is given: numpy's ``loadtxt`` reads both
+columns in one call, and a line-by-line ``csv`` pass re-reads the stream only
+after that fails, to name the faulty line (or to accept a cell that ``float``
+takes and numpy does not, such as ``1_000``); only a stream that cannot tell
+its position, such as a pipe, is copied into memory first.  Emitted plot files
+use log base 10 whenever a log axis is requested; model math elsewhere in the
+package works in natural logs.  Floats are written with repr(), i.e. the
+shortest decimal that round-trips, so emitting and re-reading a series is
+lossless.  Writers stream fixed blocks of rows: no input or output file is held
+whole in memory.  A JSON plot file is laid out exactly as
+``json.dump(payload, indent=2, sort_keys=True)`` lays it out.
 
 Times are plain floats.  Gaps in the time grid are allowed (only strict
 monotonicity is enforced) and cumulate() sums the observations exactly as
@@ -17,11 +20,11 @@ given — it never interpolates missing rows.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,6 @@ _JSON_SCHEMA_VERSION = 1
 # Rows (csv) or array items (json) formatted per write.
 _BLOCK_ROWS = 1024
 _JSON_ITEM_SEP = ",\n" + 8 * " "
-_NON_BLANK = re.compile(r"\S")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,44 +93,54 @@ class TimeSeries:
 
 def read_csv(source, time_col: int = 0, value_col: int = 1, label: str = "",
              kind: str = KIND_ANNUAL) -> TimeSeries:
-    """Parse a two-column CSV file or stream into a TimeSeries.
+    """Parse a two-column CSV file or stream (from its position) into a TimeSeries.
 
-    A single leading header line is skipped automatically when it does not
-    parse as numbers.  Parse failures, duplicate or non-monotone times, and
-    empty input all raise DataIOError with a 1-based line number.
+    A leading byte-order mark, and then a header line that does not parse as
+    numbers, are skipped.  Malformed, empty and undecodable input raise
+    DataIOError, naming the 1-based line where there is one.
     """
     time_col = check_number("time_col", time_col, int)
     value_col = check_number("value_col", value_col, int)
-    if hasattr(source, "read"):
-        text = source.read()
-        origin = getattr(source, "name", "<stream>")
-    else:
-        origin = str(source)
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataIOError(f"cannot read {origin}: {exc}") from exc
+    is_stream = hasattr(source, "read")
+    origin = getattr(source, "name", "<stream>") if is_stream else str(source)
+    try:
+        with (contextlib.nullcontext(source) if is_stream
+              else open(source, "r", encoding="utf-8")) as fh:
+            return _read_stream(fh, origin, time_col, value_col, label, kind)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataIOError(f"cannot read {origin}: {exc}") from exc
 
+
+def _read_stream(fh, origin, time_col, value_col, label, kind):
+    try:
+        start = fh.tell()
+    except (AttributeError, OSError):  # a pipe, or a file being iterated
+        fh, start = io.StringIO(fh.read()), 0  # the row pass may re-read it
+    if fh.read(1) != "\ufeff":  # Excel's "CSV UTF-8" export writes one
+        fh.seek(start)
+    start = fh.tell()
     if min(time_col, value_col) >= 0:  # negative indices: the row pass only
         try:
-            return TimeSeries(*_load_columns(text, time_col, value_col),
+            return TimeSeries(*_load_columns(fh, start, time_col, value_col),
                               label=label, kind=kind)
+        except UnicodeDecodeError:
+            raise  # unreadable, not malformed: no row pass can name a line
         except (ValueError, OverflowError, ValidationError, csv.Error):
-            pass  # the row pass below gives the verdict and its line number
-    return _read_rows(text, origin, time_col, value_col, label, kind)
+            fh.seek(start)  # the row pass gives the verdict and its line number
+    return _read_rows(fh, origin, time_col, value_col, label, kind)
 
 
-def _load_columns(text, time_col, value_col):
+def _load_columns(fh, start, time_col, value_col):
     """Both columns in one np.loadtxt call, line 1 skipped by _read_rows' rule."""
-    buf = io.StringIO(text)
-    first = next(csv.reader(buf), [])
+    first = next(csv.reader([fh.readline()]), [])
     if len(first) <= max(time_col, value_col) or (
             _is_number(first[time_col]) and _is_number(first[value_col])):
-        buf.seek(0)  # not a header line
-    if _NON_BLANK.search(text, buf.tell()) is None:
+        fh.seek(start)  # not a header line
+    data = fh.tell()
+    if not any(line.strip() for line in iter(fh.readline, "")):
         raise ValueError("no data rows")  # loadtxt would only warn
-    cols = np.loadtxt(buf, delimiter=",", usecols=(time_col, value_col),
+    fh.seek(data)
+    cols = np.loadtxt(fh, delimiter=",", usecols=(time_col, value_col),
                       comments=None, quotechar='"', ndmin=2)
     return np.ascontiguousarray(cols[:, 0]), np.ascontiguousarray(cols[:, 1])
 
@@ -141,12 +153,12 @@ def _is_number(cell):
     return True
 
 
-def _read_rows(text, origin, time_col, value_col, label, kind):
+def _read_rows(fh, origin, time_col, value_col, label, kind):
     """Row-by-row parse that names the first faulty line."""
     times: list[float] = []
     values: list[float] = []
     needed = max(time_col, value_col) + 1
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(fh)
     try:
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,8 +199,8 @@ class TestSimulate:
                          "--b", "1,2", "--points", "31", "--out-dir", str(out)])
             assert code == 0
             plot_line, report_line = capsys.readouterr().out.splitlines()
-            outputs.append((open(plot_line, "rb").read(),
-                            open(report_line, "rb").read()))
+            outputs.append((Path(plot_line).read_bytes(),
+                            Path(report_line).read_bytes()))
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("plot_format, axes", [("csv", "linear"),
@@ -277,7 +278,7 @@ class TestSimulate:
                      "--plot-format", "json", "--out-dir", str(tmp_path)])
         assert code == 0
         plot_line = capsys.readouterr().out.splitlines()[0]
-        payload = json.loads(open(plot_line).read())
+        payload = json.loads(Path(plot_line).read_text())
         assert payload["schema"] == 1
         assert payload["series"][0]["label"] == "power"
 
@@ -382,6 +383,17 @@ class TestFit:
                      "--out-dir", str(tmp_path)])
         assert code == 4
         assert capsys.readouterr().err.startswith("i/o error:")
+
+    @pytest.mark.parametrize("argv", [["fit", "--model", "power"], ["classify-early"]])
+    def test_undecodable_input_exit_4(self, tmp_path, capsys, argv):
+        data = tmp_path / "latin.csv"
+        data.write_bytes("ann\xe9e,valeur\n1,2\n2,3\n".encode("latin-1"))
+        code = main(argv[:1] + [str(data)] + argv[1:] + ["--out-dir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: cannot read {data}: 'utf-8' codec can't decode byte "
+            "0xe9 in position 3: invalid continuation byte\n")
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_explicit_guess_and_alpha(self, tmp_path, capsys):
         t = np.linspace(0.0, 3.0, 90)
