@@ -92,7 +92,11 @@ class AdvectionSetup:
 
 @dataclass(frozen=True, eq=False)
 class FieldSnapshot:
-    """The field on its grid at one instant t (any finite real)."""
+    """The field on its grid at one instant t (any finite real).
+
+    x_grid and phi are stored as float arrays (a float64 array as given,
+    without a copy) and must hold finite values only.
+    """
 
     t: float
     x_grid: np.ndarray
@@ -100,6 +104,14 @@ class FieldSnapshot:
 
     def __post_init__(self):
         check_record(self)
+        for name in ("x_grid", "phi"):
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} must be an array of reals: {exc}") from None
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must hold finite values only")
+            object.__setattr__(self, name, arr)
         if self.x_grid.shape != self.phi.shape or self.x_grid.ndim != 1:
             raise ValidationError("x_grid and phi must be 1-D arrays of equal length")
         if not (np.diff(self.x_grid) > 0).all():
@@ -210,6 +222,14 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     asymptote sqrt(phi0**2 + 2/x) — holding the inflow at the initial level
     undershoots the x = 50 terminal magnitude by ~13% on the default domain.
 
+    A step allocates nothing.  Two padded buffers (the field, then the inflow
+    ghost) trade roles as the current and the next field, and the update
+    phi + dt*(source - phi*((phi_ahead - phi)/dx)) runs as six ufuncs, in
+    that expression's order, through one work array.  One abs-max pass over
+    the next field then serves twice: max|phi| is the next step's CFL speed,
+    and since NaN and inf propagate through abs and max, a non-finite max is
+    the finiteness check.
+
     Snapshots are linearly interpolated in time between march steps and share
     one read-only grid; one within 1e-12*t_end of 0 or of t_end is the initial
     or the final field, a slack relative to t_end, so the march is scale-free.
@@ -238,10 +258,15 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
             f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
             f"most {dt_max:.4g}, over the budget of {_MAX_STEPS} steps")
 
-    # The field followed by the inflow ghost; phi is a view of the field part.
-    padded = np.full(setup.n_cells + 1, -setup.phi0)
-    padded[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
-    phi = padded[:-1]
+    # Two buffers, each the field followed by the inflow ghost, trade roles
+    # every step: phi (ahead: shifted one cell toward x_max) views the
+    # current one, new the next one, and work holds every intermediate.
+    cur = np.full(setup.n_cells + 1, -setup.phi0)
+    cur[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
+    nxt = cur.copy()
+    phi, ahead, new, new_ahead = cur[:-1], cur[1:], nxt[:-1], nxt[1:]
+    work = np.empty(setup.n_cells)
+    speed = setup.phi0  # max|phi| of the flat start
     t = 0.0
     # Snapshots at t = 0 (within round-off) are the initial field.
     snapshots = [FieldSnapshot(t=s, x_grid=x, phi=phi.copy())
@@ -255,12 +280,18 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                     f"march used its budget of {_MAX_STEPS} steps at t={t!r} of {t_end!r}")
             n_steps += 1
             # speed*dt <= cfl*dx < dx, so the step never breaks the CFL bound.
-            dt = setup.cfl * dx / max(float(np.abs(phi).max()), _VEL_FLOOR)
-            dt = min(dt, dt_accel, t_end - t)
-            grad = (padded[1:] - phi) / dx
-            phi_new = phi + dt * (source - phi * grad)
-            if not np.isfinite(phi_new).all():
-                bad = int(np.argmax(~np.isfinite(phi_new)))
+            dt = min(setup.cfl * dx / max(speed, _VEL_FLOOR), dt_accel, t_end - t)
+            # new = phi + dt*(source - phi*((ahead - phi)/dx)), one ufunc at a time
+            np.subtract(ahead, phi, out=work)
+            np.divide(work, dx, out=work)
+            np.multiply(phi, work, out=work)
+            np.subtract(source, work, out=work)
+            np.multiply(work, dt, out=work)
+            np.add(phi, work, out=new)
+            # max|new| is the next step's speed; NaN and inf propagate into it.
+            speed = float(np.maximum.reduce(np.absolute(new, out=work)))
+            if not math.isfinite(speed):
+                bad = int(np.argmax(~np.isfinite(new)))
                 raise NumericalError(
                     f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
                     "reduce cfl or refine the grid")
@@ -269,9 +300,9 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
             while next_snap < len(req) and req[next_snap] <= t_new + tol:
                 w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
                 snapshots.append(FieldSnapshot(t=req[next_snap], x_grid=x,
-                                               phi=(1.0 - w) * phi + w * phi_new))
+                                               phi=(1.0 - w) * phi + w * new))
                 next_snap += 1
-            phi[:] = phi_new
+            phi, ahead, new, new_ahead = new, new_ahead, phi, ahead
             t = t_new
     return snapshots
 

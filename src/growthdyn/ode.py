@@ -189,11 +189,11 @@ def interp_states(trajectory: Trajectory, times) -> np.ndarray:
     """Sample a trajectory at arbitrary times by linear interpolation.
 
     First-order accurate between grid points; exact on the grid itself.
-    Requested times must lie within [times[0], times[-1]].
+    Requested times must lie within [times[0], times[-1]]; NaN does not.
     """
     query = np.atleast_1d(np.asarray(times, dtype=float))
     grid = trajectory.times
-    if (query < grid[0]).any() or (query > grid[-1]).any():
+    if not ((query >= grid[0]) & (query <= grid[-1])).all():  # NaN fails both
         raise ValidationError("interpolation times outside the integrated span")
     out = np.empty((query.size, trajectory.states.shape[1]))
     for j in range(trajectory.states.shape[1]):

@@ -321,3 +321,136 @@ class TestUpwindScheme:
         hi = max(snaps[0].phi[10], snaps[0].phi[11])
         assert lo - 1e-12 <= between[0] <= hi + 1e-12
         assert at_center[0] == pytest.approx(float(snaps[0].phi[10]))
+
+
+def _reference_march(setup, t_end, req):
+    """The step loop of evolve_advection_fd as it was before it wrote into
+    two swapped buffers: a fresh gradient, update and finiteness mask every
+    step.  Returns ([(t, phi), ...], steps); raises the same NumericalErrors."""
+    tol = 1e-12 * t_end
+    dx = setup.dx
+    x = setup.cell_centers()
+    source = -1.0 / (x * x)
+    dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
+    dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, fields._VEL_FLOOR))
+    if t_end / dt_max > fields._MAX_STEPS:
+        raise NumericalError(
+            f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
+            f"most {dt_max:.4g}, over the budget of {fields._MAX_STEPS} steps")
+    padded = np.full(setup.n_cells + 1, -setup.phi0)
+    padded[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
+    phi = padded[:-1]
+    t = 0.0
+    snapshots = [(s, phi.copy()) for s in itertools.takewhile(lambda s: s <= tol, req)]
+    next_snap = len(snapshots)
+    n_steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end:
+            if n_steps == fields._MAX_STEPS:
+                raise NumericalError(
+                    f"march used its budget of {fields._MAX_STEPS} steps at t={t!r} of {t_end!r}")
+            n_steps += 1
+            dt = setup.cfl * dx / max(float(np.abs(phi).max()), fields._VEL_FLOOR)
+            dt = min(dt, dt_accel, t_end - t)
+            grad = (padded[1:] - phi) / dx
+            phi_new = phi + dt * (source - phi * grad)
+            if not np.isfinite(phi_new).all():
+                bad = int(np.argmax(~np.isfinite(phi_new)))
+                raise NumericalError(
+                    f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
+                    "reduce cfl or refine the grid")
+            t_new = t + dt
+            while next_snap < len(req) and req[next_snap] <= t_new + tol:
+                w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
+                snapshots.append((req[next_snap], (1.0 - w) * phi + w * phi_new))
+                next_snap += 1
+            phi[:] = phi_new
+            t = t_new
+    return snapshots, n_steps
+
+
+def _outcome(march, *args):
+    try:
+        return march(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _random_march(rng, steps):
+    """A seeded setup, a t_end of about `steps` steps, and a snapshot list."""
+    x_min = float(10.0 ** rng.uniform(-3.0, 3.0))
+    setup = AdvectionSetup(x_min=x_min, x_max=x_min * float(10.0 ** rng.uniform(0.2, 3.0)),
+                           n_cells=int(rng.integers(16, 301)),
+                           phi0=0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-3, 1)),
+                           cfl=float(rng.uniform(0.05, 0.9)))
+    speed = math.sqrt(setup.phi0 ** 2 + 2.0 / setup.x_min)  # the deepest terminal level
+    dt = min(setup.cfl * math.sqrt(setup.dx) * setup.x_min, setup.cfl * setup.dx / speed)
+    t_end = steps * dt
+    shape = rng.integers(5)
+    if shape == 0:
+        times = []
+    elif shape == 1:
+        times = [0.0, t_end]
+    elif shape == 2:  # repeats at both ends, and ends within the round-off slack
+        times = [0.0, 0.0, 1e-13 * t_end, t_end * (1.0 - 1e-13), t_end, t_end * (1.0 + 5e-13)]
+    else:
+        times = sorted(rng.uniform(0.0, t_end, int(rng.integers(1, 30))))
+        if shape == 4:
+            times = sorted(times + times[::3] + [t_end])
+    return setup, t_end, [float(s) for s in times]
+
+
+class TestMarchAgainstReference:
+    """evolve_advection_fd gives the reference loop's bits, steps and errors."""
+
+    @staticmethod
+    def _assert_same(setup, t_end, times, monkeypatch=None, budget=None):
+        if budget is not None:
+            monkeypatch.setattr(fields, "_MAX_STEPS", budget)
+        ref = _outcome(_reference_march, setup, t_end, times)
+        got = _outcome(evolve_advection_fd, setup, t_end, times)
+        if isinstance(ref, str):
+            assert got == ref
+            return None
+        snapshots, n_steps = ref
+        assert [s.t for s in got] == [t for t, _ in snapshots]
+        for snap, (_, phi) in zip(got, snapshots):
+            assert snap.phi.tobytes() == phi.tobytes()
+            assert snap.x_grid.tobytes() == setup.cell_centers().tobytes()
+        return n_steps
+
+    def test_random_setups_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        for case in range(240):
+            steps = float(10.0 ** rng.uniform(0.0, 3.3))
+            setup, t_end, times = _random_march(rng, steps)
+            n_steps = self._assert_same(setup, t_end, times)
+            assert n_steps is not None, (case, setup)
+            if case % 8 == 0:  # the same step count: one step short of it runs out
+                self._assert_same(setup, t_end, times, monkeypatch, n_steps - 1)
+                assert self._assert_same(setup, t_end, times, monkeypatch, n_steps) == n_steps
+                monkeypatch.undo()
+
+    def test_long_marches_bit_for_bit(self):
+        rng = np.random.default_rng(101)
+        for _ in range(4):
+            setup, t_end, times = _random_march(rng, 2.5e4)
+            assert self._assert_same(setup, t_end, times) > 1e4
+
+    @pytest.mark.parametrize("x_min, n_cells, t_end", [
+        (1e-154, 16, 1e-229), (1e-154, 300, 1e-229), (1.5e-154, 64, 1e-228),
+        (1e-154, 40, 5e-230)])
+    def test_same_overflow_message(self, x_min, n_cells, t_end):
+        setup = AdvectionSetup(x_min=x_min, x_max=2.0 * x_min, n_cells=n_cells)
+        ref = _outcome(_reference_march, setup, t_end, [t_end])
+        assert ref.startswith("non-finite field at t=")
+        assert _outcome(evolve_advection_fd, setup, t_end, [t_end]) == ref
+
+    def test_same_budget_messages(self, monkeypatch):
+        # up front (the advective bound at phi0) and in the march (deepening)
+        up_front = (AdvectionSetup(n_cells=64, phi0=1e150), 2500.0, [])
+        assert self._assert_same(*up_front) is None
+        monkeypatch.setattr(fields, "_MAX_STEPS", 50)
+        deepening = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16)
+        assert "march used its budget" in _outcome(_reference_march, deepening, 44.0, [])
+        assert self._assert_same(deepening, 44.0, [44.0]) is None

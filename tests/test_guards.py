@@ -74,6 +74,27 @@ class TestFields:
         with pytest.raises(ValidationError, match="strictly increasing"):
             FieldSnapshot(t=0.0, x_grid=np.array([1.0, 1.0, 2.0]), phi=np.zeros(3))
 
+    def test_snapshot_lists_become_float_arrays(self):
+        snap = FieldSnapshot(t=0.0, x_grid=[1, 2, 3], phi=[0, -0.5, -1])
+        assert snap.x_grid.dtype == snap.phi.dtype == np.float64
+        np.testing.assert_array_equal(snap.phi, [0.0, -0.5, -1.0])
+
+    def test_snapshot_needs_real_numbers(self):
+        with pytest.raises(ValidationError, match="x_grid must be an array of reals"):
+            FieldSnapshot(t=0.0, x_grid=np.array(["a", "b"]), phi=np.zeros(2))
+
+    @pytest.mark.parametrize("x_grid, phi, name", [
+        ([0.0, 1.0, 2.0], [0.0, -math.inf, 0.0], "phi"),
+        ([1.0, math.inf], [0.0, 0.0], "x_grid")])
+    def test_snapshot_values_must_be_finite(self, x_grid, phi, name):
+        with pytest.raises(ValidationError, match=f"{name} must hold finite values only"):
+            FieldSnapshot(t=0.0, x_grid=np.array(x_grid), phi=np.array(phi))
+
+    def test_march_snapshots_keep_their_arrays(self):
+        snaps = evolve_advection_fd(SMALL, 1.0, [0.0, 1.0])
+        again = FieldSnapshot(t=1.0, x_grid=snaps[0].x_grid, phi=snaps[1].phi)
+        assert again.x_grid is snaps[0].x_grid and again.phi is snaps[1].phi
+
     @pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
     def test_march_end_time(self, t_end):
         with pytest.raises(ValidationError, match="t_end must be >= 0"):

@@ -220,6 +220,13 @@ class TestInterpolation:
         with pytest.raises(ValidationError):
             interp_states(traj, np.array([1.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN compares false both ways, so the range check must require both
+        traj = integrate_fixed(DECAY, np.array([1.0]), 0.0, 1.0, 0.1)
+        with pytest.raises(ValidationError, match="outside the integrated span"):
+            interp_states(traj, [bad, 0.5])
+
     def test_multicolumn(self):
         system = AutonomousSystem(2, lambda s: np.array([-s[0], -2.0 * s[1]]))
         traj = integrate_fixed(system, np.array([1.0, 1.0]), 0.0, 1.0, 0.001)
