@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataIOError, LogAxisError, ValidationError, check_number
+from .errors import DataIOError, LogAxisError, ValidationError, check_array, check_number
 
 KIND_ANNUAL = "annual"
 KIND_CUMULATIVE = "cumulative"
@@ -57,7 +57,10 @@ class TimeSeries:
 
     kind "annual" marks per-period observations, "cumulative" their running
     sums, and "generic" anything else (generic series may carry negative
-    values; the observation kinds may not).
+    values; the observation kinds may not).  times (strictly increasing) and
+    values, of one shape (n,) with n >= 1, follow the array rule
+    (errors.check_array): they are stored as float64 arrays (a float64 array
+    as given, without a copy) of finite values.
     """
 
     times: np.ndarray
@@ -66,20 +69,12 @@ class TimeSeries:
     kind: str = KIND_ANNUAL
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = check_array("times", self.times, (None,))
+        v = check_array("values", self.values, t.shape)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise ValidationError(
-                f"times and values must be 1-D arrays of equal length, "
-                f"got shapes {t.shape} and {v.shape}")
-        if t.size == 0:
-            raise ValidationError("a series needs at least one sample")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ValidationError("times and values must be finite")
-        if not (t[1:] > t[:-1]).all():  # np.diff would overflow near ±1e308
-            raise ValidationError("times must be strictly increasing")
+        if not (t.size and (t[1:] > t[:-1]).all()):  # np.diff would overflow near ±1e308
+            raise ValidationError("times must be non-empty and strictly increasing")
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind in (KIND_ANNUAL, KIND_CUMULATIVE) and (v < 0).any():
@@ -202,8 +197,9 @@ def cumulate(s: TimeSeries) -> TimeSeries:
     if s.kind != KIND_ANNUAL:
         raise ValidationError(
             f"cumulate expects an annual series, got kind {s.kind!r}")
-    return TimeSeries(s.times.copy(), np.cumsum(s.values),
-                      label=s.label, kind=KIND_CUMULATIVE)
+    with np.errstate(over="ignore"):  # a sum past float64 is refused as non-finite
+        sums = np.cumsum(s.values)
+    return TimeSeries(s.times.copy(), sums, label=s.label, kind=KIND_CUMULATIVE)
 
 
 def _coerce_series(entry, index):
@@ -216,11 +212,9 @@ def _coerce_series(entry, index):
         raise ValidationError(
             f"entry {index}: expected TimeSeries or (label, x, y) triple, "
             f"got {type(entry).__name__}") from None
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValidationError(f"entry {index}: x and y must match in length")
-    return str(label) or f"series{index}", x, y
+    x = check_array(f"entry {index}: x", x, (None,), finite=False)
+    return str(label) or f"series{index}", x, check_array(f"entry {index}: y", y, x.shape,
+                                                          finite=False)
 
 
 def check_log_axes(label, x, y, axes):

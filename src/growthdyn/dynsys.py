@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NonConvergenceError, NumericalError, ValidationError,
-                     check_number, check_record)
+                     check_array, check_number, check_record)
 from .fitting import _lm_once
 from .ode import AutonomousSystem
 
@@ -100,13 +100,8 @@ class ExclusionVerdict:
     ratio: float                  # a1*d2 / (a2*d1)
 
 
-def _as_point(point):
-    if isinstance(point, FixedPoint2D):
-        return point.as_array()
-    arr = np.asarray(point, dtype=float)
-    if arr.shape != (2,):
-        raise ValidationError(f"expected a 2-vector, got shape {arr.shape}")
-    return arr
+def _as_point(name, point):
+    return point.as_array() if isinstance(point, FixedPoint2D) else check_array(name, point, (2,))
 
 
 def _fd_jacobian(rhs, x):
@@ -119,8 +114,7 @@ def _fd_jacobian(rhs, x):
         xm = x.copy()
         xp[j] += hj
         xm[j] -= hj
-        fp = np.asarray(rhs(xp), dtype=float)
-        fm = np.asarray(rhs(xm), dtype=float)
+        fp, fm = (check_array("rhs output", rhs(v), x.shape, finite=False) for v in (xp, xm))
         if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise NumericalError(f"non-finite rhs near {x.tolist()} while differencing")
         jac[:, j] = (fp - fm) / (2.0 * hj)
@@ -142,14 +136,15 @@ def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
     max_iter = check_number("max_iter", max_iter, int, ">")
 
     def residual(x):
-        f = np.asarray(system.rhs(x), dtype=float)
+        f = check_array("rhs output", system.rhs(x), x.shape, finite=False)
         return (f, None) if np.isfinite(f).all() else None
 
-    x = _as_point(guess)
-    x, point, iters, _, _ = _lm_once(
-        residual, lambda x, _: _fd_jacobian(system.rhs, x), x, residual(x),
-        _DESCENT_TOL, max_iter)
-    norm = float(np.linalg.norm(point[0])) if point is not None else math.inf
+    x = _as_point("guess", guess)
+    with np.errstate(all="ignore"):  # as in the integrators: inf/NaN stop the descent
+        x, point, iters, _, _ = _lm_once(
+            residual, lambda x, _: _fd_jacobian(system.rhs, x), x, residual(x),
+            _DESCENT_TOL, max_iter)
+        norm = float(np.linalg.norm(point[0])) if point is not None else math.inf
     if norm <= tol:
         return FixedPoint2D(float(x[0]), float(x[1]), norm)
     raise NonConvergenceError(
@@ -163,8 +158,9 @@ def linearize(system: AutonomousSystem, point) -> tuple:
     A = d(rhs_1)/dx_1, B = d(rhs_1)/dx_2, C = d(rhs_2)/dx_1, D = d(rhs_2)/dx_2,
     each with O(h^2) truncation error in the step h = 1e-6*(1 + |coordinate|).
     """
-    x = _as_point(point)
-    jac = _fd_jacobian(system.rhs, x)
+    x = _as_point("point", point)
+    with np.errstate(all="ignore"):  # as in the integrators: the check catches inf/NaN
+        jac = _fd_jacobian(system.rhs, x)
     return (float(jac[0, 0]), float(jac[0, 1]), float(jac[1, 0]), float(jac[1, 1]))
 
 
@@ -250,17 +246,31 @@ def exclusion_verdict(params: CompetitionParams) -> ExclusionVerdict:
 
     Species 1 survives iff a1*d2 > a2*d1 (ties within 1e-12 relative are
     marginal); the survivor settles at a_i/(d_i * w) with w its own resource
-    weight (b for species 1, c for species 2).
+    weight (b for species 1, c for species 2).  Where a product leaves the
+    normal float64 range, both are compared as their mantissa products times
+    powers of two, scaled by one power of two so the larger lies in
+    [0.25, 1).  The ratio and the limit read inf or 0 where they leave float64.
     """
-    lhs = params.a1 * params.d2
-    rhs = params.a2 * params.d1
-    if abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs)):
-        return ExclusionVerdict(MARGINAL, None, lhs / rhs)
+    lhs, rhs = params.a1 * params.d2, params.a2 * params.d1
+    if not (2.0 ** -1022 <= min(lhs, rhs) and max(lhs, rhs) < math.inf):
+        (m1, e1), (m2, e2) = ((u * v, i + j) for (u, i), (v, j) in (
+            (math.frexp(params.a1), math.frexp(params.d2)),
+            (math.frexp(params.a2), math.frexp(params.d1))))
+        e = max(e1, e2)
+        lhs, rhs = math.ldexp(m1, e1 - e), math.ldexp(m2, e2 - e)
+    ratio = lhs / rhs if rhs else math.inf
+    if abs(lhs - rhs) <= 1e-12 * max(lhs, rhs):
+        return ExclusionVerdict(MARGINAL, None, ratio)
     if lhs > rhs:
-        return ExclusionVerdict(SPECIES_1_SURVIVES, params.a1 / (params.d1 * params.b),
-                                lhs / rhs)
-    return ExclusionVerdict(SPECIES_2_SURVIVES, params.a2 / (params.d2 * params.c),
-                            lhs / rhs)
+        return ExclusionVerdict(SPECIES_1_SURVIVES, _limit(params.a1, params.d1, params.b),
+                                ratio)
+    return ExclusionVerdict(SPECIES_2_SURVIVES, _limit(params.a2, params.d2, params.c),
+                            ratio)
+
+
+def _limit(a, d, w):
+    """a/(d*w), dividing in turn where d*w leaves the normal float64 range."""
+    return a / (d * w) if 2.0 ** -1022 <= d * w < math.inf else a / d / w
 
 
 def coupled_logistic_demo(a_r: float = 1.0, b_r: float = 1.0, e_rs: float = 0.5,

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all growthdyn modules, and the number rule.
+"""Exception hierarchy of all growthdyn modules, and the number and array rules.
 
 The split mirrors how the CLI reports failures: bad inputs or parameters
 (ValidationError), solver breakdowns (NumericalError), and anything wrong
@@ -9,6 +9,8 @@ import inspect
 import math
 import numbers
 import typing
+
+import numpy as np
 
 
 class GrowthDynError(Exception):
@@ -75,6 +77,31 @@ def check_number(name, value, kind=float, sign=""):
     what = "a finite real" if kind is float else "an integer"
     raise ParameterError(f"{name} must be {f'{sign} 0 ({what})' if sign else what}, "
                          f"got {value!r}")
+
+
+def check_array(name, values, shape=None, finite=True):
+    """values as a float64 array (a float64 array as given, without a copy)
+    of the given shape (a None entry matches any length), all finite unless
+    finite is False; bool, complex, string and non-real object values (None
+    reads as NaN), another shape or a non-finite value raise ValidationError."""
+    arr = values
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+        try:
+            arr = np.asarray(values)
+            if arr.dtype.kind not in "fiuO" or arr.dtype.kind == "O" and not all(
+                    v is None or isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in arr.flat):
+                raise TypeError(f"dtype {arr.dtype}")
+            arr = arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{name} must be an array of reals: {exc}") from None
+    if shape is not None and arr.shape != shape and (arr.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, arr.shape))):
+        raise ValidationError(f"{name} must have shape {str(shape).replace('None', 'n')}, "
+                              f"got {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must hold finite values only")
+    return arr
 
 
 @functools.cache

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError,
-                     RootNotFoundError, ValidationError, check_number,
-                     check_record)
+                     RootNotFoundError, ValidationError, check_array,
+                     check_number, check_record)
 from .ode import _MAX_STEPS, AutonomousSystem
 
 _VEL_FLOOR = 1e-12        # guards the CFL division on a flat (zero) field
@@ -94,8 +94,9 @@ class AdvectionSetup:
 class FieldSnapshot:
     """The field on its grid at one instant t (any finite real).
 
-    x_grid and phi are stored as float arrays (a float64 array as given,
-    without a copy) and must hold finite values only.
+    x_grid (non-empty, strictly increasing) and phi, of the same shape (n,),
+    follow the array rule (errors.check_array): they are stored as float64
+    arrays (a float64 array as given, without a copy) of finite values.
     """
 
     t: float
@@ -104,18 +105,11 @@ class FieldSnapshot:
 
     def __post_init__(self):
         check_record(self)
-        for name in ("x_grid", "phi"):
-            try:
-                arr = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{name} must be an array of reals: {exc}") from None
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} must hold finite values only")
-            object.__setattr__(self, name, arr)
-        if self.x_grid.shape != self.phi.shape or self.x_grid.ndim != 1:
-            raise ValidationError("x_grid and phi must be 1-D arrays of equal length")
-        if not (np.diff(self.x_grid) > 0).all():
-            raise ValidationError("x_grid must be strictly increasing")
+        x = check_array("x_grid", self.x_grid, (None,))
+        object.__setattr__(self, "x_grid", x)
+        object.__setattr__(self, "phi", check_array("phi", self.phi, x.shape))
+        if not (x.size and (x[1:] > x[:-1]).all()):
+            raise ValidationError("x_grid must be non-empty and strictly increasing")
 
 
 def diffusion_point_source(p: DiffusionParams, x, t: float):
@@ -126,9 +120,12 @@ def diffusion_point_source(p: DiffusionParams, x, t: float):
     t = check_number("t", t)
     if not t > 0:
         raise DomainError(f"point-source profile requires t > 0, got t={t}")
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = check_array("x", x, finite=False)
     four_dt = 4.0 * p.delta * t
-    out = np.exp(-x_arr * x_arr / four_dt) / math.sqrt(math.pi * four_dt)
+    if not 2.0 ** -1022 <= four_dt <= 2.0 ** 1021:  # normal, and pi*four_dt finite
+        raise DomainError(f"4*delta*t={four_dt!r} leaves the normal float64 range")
+    with np.errstate(over="ignore"):  # x**2/(4 delta t) past float64 gives exp(-inf) = 0
+        out = np.exp(-x_arr * x_arr / four_dt) / math.sqrt(math.pi * four_dt)
     return float(out) if x_arr.ndim == 0 else out
 
 
@@ -194,10 +191,13 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
 
 def euler_terminal_profile(setup: AdvectionSetup, x):
     """Long-time field magnitude sqrt(phi0**2 + 2/x); sqrt(2/x) for a zero start."""
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = check_array("x", x, finite=False)
     if not (x_arr > 0).all():  # NaN too
         raise DomainError(f"terminal profile requires x > 0, got {x!r}")
-    out = np.sqrt(setup.phi0 ** 2 + 2.0 / x_arr)
+    with np.errstate(over="ignore"):  # refused below
+        out = np.sqrt(setup.phi0 ** 2 + 2.0 / x_arr)
+    if not np.isfinite(out).all():
+        raise DomainError(f"terminal profile leaves float64 range: 2/x overflows, x={x!r}")
     return float(out) if x_arr.ndim == 0 else out
 
 
@@ -312,8 +312,8 @@ def probe_series(snapshots, x_probe: float):
 
     Returns (times, values) arrays; handy for terminal-approach plots.
     """
-    if not snapshots:
-        raise ValidationError("no snapshots to probe")
+    if not (snapshots and all(isinstance(snap, FieldSnapshot) for snap in snapshots)):
+        raise ValidationError("no snapshots to probe: need a list of FieldSnapshot records")
     x_probe = check_number("x_probe", x_probe)
     times = np.array([snap.t for snap in snapshots])
     values = np.empty(times.size)
@@ -337,6 +337,11 @@ def characteristic_particle_system() -> AutonomousSystem:
 
 
 def characteristic_energy(state) -> float:
-    """Conserved quantity phi**2/2 - 1/x of the characteristic equations."""
-    arr = np.asarray(state, dtype=float)
-    return float(0.5 * arr[1] ** 2 - 1.0 / arr[0])
+    """Conserved quantity phi**2/2 - 1/x of the characteristic equations at
+    state (x, phi), a finite 2-vector; DomainError where it leaves float64."""
+    x, phi = check_array("state", state, (2,))
+    with np.errstate(all="ignore"):  # refused below
+        energy = float(0.5 * phi ** 2 - 1.0 / x)
+    if not math.isfinite(energy):
+        raise DomainError(f"energy at state {[float(x), float(phi)]} is not a finite float64")
+    return energy

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_record
+from .errors import DomainError, ParameterError, check_array, check_record
 
 POWER_LAW = "power-law"
 SATURATING_LINEAR = "saturating-linear"
@@ -125,7 +125,7 @@ def _dlog_dtheta(params, t):
 
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
-    arr = np.asarray(t, dtype=float)
+    arr = check_array("t", t, finite=False)
     negative = ~(arr >= 0)  # NaN too
     if negative.any():
         i = int(np.argmax(negative))  # the first, in flat order

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, StiffnessError, ValidationError, check_number, check_record
+from .errors import (NumericalError, StiffnessError, ValidationError, check_array,
+                     check_number, check_record)
 
 # Dormand--Prince 5(4) tableau; the last row of _DP_A is the 5th-order
 # solution, whose derivative is the 7th stage (first-same-as-last).
@@ -46,11 +47,22 @@ class AutonomousSystem:
 
 @dataclass
 class Trajectory:
-    """Integration output: strictly increasing times, one state row per time."""
+    """Integration output: strictly increasing times, one state row per time.
+
+    times, shape (n,) with n >= 1, and states, shape (n, dimension), follow
+    the array rule (errors.check_array): they are stored as float64 arrays
+    (a float64 array as given, without a copy) of finite values.
+    """
 
     times: np.ndarray            # shape (n,)
     states: np.ndarray           # shape (n, dimension)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.times = t = check_array("times", self.times, (None,))
+        self.states = check_array("states", self.states, (t.size, None))
+        if not (t.size and (t[1:] > t[:-1]).all()):
+            raise ValidationError("times must be non-empty and strictly increasing")
 
 
 def _check_span(t0, t1, **positive):
@@ -60,19 +72,8 @@ def _check_span(t0, t1, **positive):
     return t0, t1, *(check_number(name, v, float, ">") for name, v in positive.items())
 
 
-def _initial_state(system, y0):
-    y = np.asarray(y0, dtype=float)
-    if y.shape != (system.dimension,):
-        raise ValidationError(
-            f"y0 has shape {y.shape}, expected ({system.dimension},)")
-    return y
-
-
 def _eval_rhs(system, y, t):
-    dy = np.asarray(system.rhs(y), dtype=float)
-    if dy.shape != y.shape:
-        raise ValidationError(
-            f"rhs returned shape {dy.shape}, expected {y.shape}")
+    dy = check_array("rhs output", system.rhs(y), y.shape, finite=False)
     if not np.isfinite(dy).all():
         raise NumericalError(
             f"non-finite derivative at t={t!r}, state={y.tolist()!r}")
@@ -91,7 +92,7 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     span = t1 - t0
     if not dt <= span * (1 + 1e-12):
         raise ValidationError(f"need dt <= t1 - t0, got dt={dt}")
-    y = _initial_state(system, y0)
+    y = check_array("y0", y0, (system.dimension,))
     if span / dt > _MAX_STEPS:
         raise NumericalError(
             f"dt={dt!r} over [{t0!r}, {t1!r}] needs {span / dt:.4g} steps, "
@@ -103,7 +104,7 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     states = np.empty((n_steps + 1, system.dimension))
     states[0] = y
     rhs = system.rhs
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch inf/NaN
+    with np.errstate(all="ignore"):  # the checks below catch inf/NaN
         k1 = _eval_rhs(system, y, t0)
         for i in range(n_steps):
             t = t0 + i * dt
@@ -135,14 +136,14 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     _MAX_STEPS tried steps, accepted or rejected, raise NumericalError.
     """
     t0, t1, rel_tol, abs_tol = _check_span(t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
-    y = _initial_state(system, y0)
+    y = check_array("y0", y0, (system.dimension,))
     span = t1 - t0
     times = [t0]
     states = [y.copy()]
     t = t0
     h = span / 100.0
     h_min = _UNDERFLOW_FRACTION * span
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below catch inf/NaN
+    with np.errstate(all="ignore"):  # the checks below catch inf/NaN
         k1 = _eval_rhs(system, y, t)  # FSAL: reused across accepted steps
         n_accept = n_reject = 0
         while t < t1:
@@ -189,9 +190,10 @@ def interp_states(trajectory: Trajectory, times) -> np.ndarray:
     """Sample a trajectory at arbitrary times by linear interpolation.
 
     First-order accurate between grid points; exact on the grid itself.
-    Requested times must lie within [times[0], times[-1]]; NaN does not.
+    Requested times (flattened, one output row each) must lie within
+    [times[0], times[-1]]; NaN does not.
     """
-    query = np.atleast_1d(np.asarray(times, dtype=float))
+    query = check_array("times", times, finite=False).reshape(-1)
     grid = trajectory.times
     if not ((query >= grid[0]) & (query <= grid[-1])).all():  # NaN fails both
         raise ValidationError("interpolation times outside the integrated span")

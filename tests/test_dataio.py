@@ -159,6 +159,10 @@ class TestCumulate:
         plain = cumulate(TimeSeries(t, v))
         np.testing.assert_allclose(scaled.values, 3.0 * plain.values, rtol=1e-12)
 
+    def test_overflowing_sum_refused_without_a_warning(self):
+        with pytest.raises(ValidationError, match="values must hold finite values only"):
+            cumulate(TimeSeries([1, 2], [1e308, 1e308]))
+
     def test_nondecreasing(self):
         c = cumulate(TimeSeries([1, 2, 3, 4], [5, 0, 2, 1]))
         assert np.all(np.diff(c.values) >= 0)

@@ -8,7 +8,7 @@ from growthdyn import (CENTER, DEGENERATE, MARGINAL, SADDLE,
                        SPECIES_1_SURVIVES, SPECIES_2_SURVIVES, STABLE_FOCUS,
                        STABLE_NODE, UNSTABLE_FOCUS, UNSTABLE_NODE,
                        AutonomousSystem, CompetitionParams,
-                       NonConvergenceError, ParameterError, classify,
+                       NonConvergenceError, NumericalError, ParameterError, classify,
                        competition_system, coupled_logistic_demo,
                        exclusion_verdict, find_fixed_point, integrate_adaptive,
                        linearize, stability_report)
@@ -132,6 +132,20 @@ class TestClassify:
         assert report.classification == STABLE_NODE
 
 
+class TestOverflowingRhs:
+    """An rhs that overflows ends in a typed error, not a numpy warning."""
+
+    def test_linearize(self):
+        with pytest.raises(NumericalError, match="while differencing"):
+            linearize(coupled_logistic_demo(), [1e300, 2.0])
+
+    @pytest.mark.parametrize("guess", [[1e300, 2.0], [1e154, 2.0]])
+    def test_stability_report(self, guess):
+        # 1e154 overflows in the descent's sum of squares, 1e300 in the rhs
+        with pytest.raises(NonConvergenceError, match="best residual inf"):
+            stability_report(coupled_logistic_demo(), guess)
+
+
 class TestStabilityReport:
     def test_logistic_pair_summary(self):
         report = stability_report(_logistic_pair(), (0.9, 0.9))
@@ -191,6 +205,48 @@ class TestCompetition:
         assert verdict.verdict == MARGINAL
         assert verdict.survivor_limit is None
         assert verdict.ratio == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rates, expected, limit, ratio", [
+        # a1*d2 or a2*d1 overflows or underflows: these used to read marginal
+        # (the first two) or raised a bare ZeroDivisionError
+        ((1e200, 1, 1, 1e200, 1, 1), SPECIES_1_SURVIVES, 1e200, math.inf),
+        ((1, 1e200, 1e200, 1, 1, 1), SPECIES_2_SURVIVES, 1e200, 0.0),
+        ((1e-200, 1e-200, 1e-200, 1e-200, 1, 1), MARGINAL, None, 1.0),
+        ((1e200, 1e-200, 1e-200, 1e200, 1, 1), SPECIES_1_SURVIVES, math.inf, math.inf),
+        ((1e-300, 1, 1e-200, 1, 1e-200, 1), SPECIES_2_SURVIVES, 1.0, 1e-100),
+    ])
+    def test_products_beyond_float64(self, rates, expected, limit, ratio):
+        verdict = exclusion_verdict(CompetitionParams(*rates))
+        assert (verdict.verdict, verdict.survivor_limit) == (expected, limit)
+        assert verdict.ratio == pytest.approx(ratio, rel=1e-15)
+
+    @pytest.mark.parametrize("shift", [600, -600])
+    def test_verdict_is_scale_free(self, shift):
+        # all four rates times 2**shift: the products leave float64, the
+        # verdict and the ratio do not change, and the limit scales exactly
+        for rates in [(2.0, 1.0, 1.0, 1.0), (1.0, 3.0, 2.0, 1.0), (1.0, 1.0, 1.0, 1.0)]:
+            plain = exclusion_verdict(CompetitionParams(*rates, 1.0, 2.0))
+            scaled = exclusion_verdict(CompetitionParams(
+                *(math.ldexp(r, shift) for r in rates), 1.0, 2.0))
+            assert (scaled.verdict, scaled.ratio) == (plain.verdict, plain.ratio)
+            assert scaled.survivor_limit == plain.survivor_limit
+
+    def test_normal_products_keep_their_bits(self):
+        # where both products are normal floats, the verdict and the ratio are
+        # those of the plain products, bit for bit
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            a1, a2, d1, d2 = np.exp(rng.uniform(-300, 300, 4)).tolist()
+            if rng.random() < 0.3:
+                d2 = a2 * d1 / a1 * (1.0 + rng.uniform(-2e-12, 2e-12))
+            lhs, rhs = a1 * d2, a2 * d1
+            if not (2.0 ** -1022 <= min(lhs, rhs) and max(lhs, rhs) < math.inf) or d2 == 0:
+                continue
+            verdict = exclusion_verdict(CompetitionParams(a1, a2, d1, d2, 1.0, 1.0))
+            marginal = abs(lhs - rhs) <= 1e-12 * max(lhs, rhs)
+            assert verdict.verdict == (MARGINAL if marginal else SPECIES_1_SURVIVES
+                                       if lhs > rhs else SPECIES_2_SURVIVES)
+            assert verdict.ratio == lhs / rhs
 
     def test_near_tie_within_tolerance_is_marginal(self):
         params = CompetitionParams(1.0, 1.0 + 1e-14, 1.0, 1.0, 1.0, 1.0)

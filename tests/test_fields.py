@@ -61,6 +61,18 @@ class TestDiffusion:
         with pytest.raises(ParameterError):
             DiffusionParams(delta=0.0)
 
+    def test_far_field_is_zero_without_a_warning(self):
+        # x**2 overflows; the profile underflows to 0 there
+        p = DiffusionParams(delta=1.0)
+        assert diffusion_point_source(p, 1e300, 1.0) == 0.0
+        np.testing.assert_array_equal(diffusion_point_source(p, [1e300, -1e300], 1.0), [0, 0])
+
+    @pytest.mark.parametrize("small", [1e-170, 1e-320])
+    def test_underflowing_width_refused(self, small):
+        # 4*delta*t underflows: this used to divide by zero with a warning
+        with pytest.raises(DomainError, match=r"4\*delta\*t=0\.0 leaves the normal"):
+            diffusion_point_source(DiffusionParams(delta=small), 0.0, small)
+
 
 class TestCharacteristicSolution:
     def setup_method(self):
@@ -165,6 +177,11 @@ class TestCharacteristicSolution:
         with pytest.raises(DomainError, match="terminal profile requires x > 0"):
             euler_terminal_profile(self.setup, x)
 
+    def test_terminal_profile_refuses_an_overflowing_level(self):
+        # sqrt(2/x) is 1.4e160 at x = 1e-320, but 2/x overflows on the way
+        with pytest.raises(DomainError, match="2/x overflows"):
+            euler_terminal_profile(self.setup, [1.0, 1e-320])
+
 
 class TestCharacteristicParticles:
     def test_energy_conserved_outbound(self):
@@ -184,6 +201,12 @@ class TestCharacteristicParticles:
 
     def test_energy_value(self):
         assert characteristic_energy(np.array([2.0, 1.0])) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("state", [[0.0, 1.0], [-0.0, 1.0], [1e-320, 1.0], [1.0, 1e300]])
+    def test_energy_beyond_float64_refused(self, state):
+        # 1/x or phi**2 leaves float64: this used to warn and return inf or NaN
+        with pytest.raises(DomainError, match="is not a finite float64"):
+            characteristic_energy(state)
 
 
 class TestAdvectionSetup:

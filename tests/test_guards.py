@@ -8,12 +8,14 @@ import pytest
 
 from growthdyn import (LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR, AdvectionSetup,
                        AutonomousSystem, DiffusionParams, DomainError, FieldSnapshot,
-                       FitProblem, NumericalError, ParameterError, TimeSeries,
-                       ValidationError, classify, coupled_logistic_demo,
-                       diffusion_point_source, early_growth_classifier, emit_plot_series,
-                       euler_characteristic_phi, evolve_advection_fd, find_fixed_point,
-                       fit, integrate_adaptive, integrate_fixed, linearize, models,
-                       probe_series, read_csv)
+                       FitProblem, NumericalError, ParameterError, TimeSeries, Trajectory,
+                       ValidationError, characteristic_energy, classify,
+                       coupled_logistic_demo, diffusion_point_source,
+                       early_growth_classifier, emit_plot_series, euler_characteristic_phi,
+                       euler_terminal_profile, evolve_advection_fd, find_fixed_point, fit,
+                       integrate_adaptive, integrate_fixed, interp_states, linearize,
+                       models, probe_series, read_csv, stability_report)
+from growthdyn.errors import check_array
 
 SMALL = AdvectionSetup(x_max=20.0, n_cells=16)
 DECAY = AutonomousSystem(1, lambda y: -y)
@@ -26,7 +28,7 @@ def _series(t0=0.0):
 
 class TestDynsys:
     def test_point_must_be_a_2_vector(self):
-        with pytest.raises(ValidationError, match="expected a 2-vector"):
+        with pytest.raises(ValidationError, match=re.escape("point must have shape (2,), got (3,)")):
             linearize(coupled_logistic_demo(), [1.0, 2.0, 3.0])
 
     def test_non_finite_rhs_while_differencing(self):
@@ -67,7 +69,7 @@ class TestFields:
             AdvectionSetup(**kwargs)
 
     def test_snapshot_shapes_must_match(self):
-        with pytest.raises(ValidationError, match="equal length"):
+        with pytest.raises(ValidationError, match=re.escape("phi must have shape (3,), got (4,)")):
             FieldSnapshot(t=0.0, x_grid=np.arange(3.0), phi=np.zeros(4))
 
     def test_snapshot_grid_must_increase(self):
@@ -112,6 +114,16 @@ class TestFields:
     def test_probe_needs_snapshots(self):
         with pytest.raises(ValidationError, match="no snapshots"):
             probe_series([], 5.0)
+
+    def test_probe_needs_snapshot_records(self):
+        # this used to raise a bare AttributeError
+        with pytest.raises(ValidationError, match="need a list of FieldSnapshot records"):
+            probe_series([1, 2], 3.0)
+
+    def test_snapshot_grid_is_not_empty(self):
+        # probe_series on an empty snapshot used to raise a bare IndexError
+        with pytest.raises(ValidationError, match="x_grid must be non-empty"):
+            FieldSnapshot(t=0.0, x_grid=[], phi=[])
 
     def test_probe_inside_grid(self):
         snaps = evolve_advection_fd(SMALL, 1.0, [0.0, 1.0])
@@ -180,7 +192,7 @@ class TestMisc:
             integrate_adaptive(DECAY, [1.0], 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def test_plot_series_lengths_match(self, tmp_path):
-        with pytest.raises(ValidationError, match="entry 1: x and y must match"):
+        with pytest.raises(ValidationError, match=re.escape("entry 1: y must have shape (2,), got (1,)")):
             emit_plot_series([("a", [0.0, 1.0], [1.0, 2.0]), ("b", [0.0, 1.0], [1.0])],
                              "linear", str(tmp_path / "out.csv"))
         assert list(tmp_path.iterdir()) == []
@@ -244,3 +256,113 @@ class TestScalarArguments:
             euler_characteristic_phi(AdvectionSetup(), np.float32(0.5), 1.0)
         with pytest.raises(ValidationError, match="need dt <= t1 - t0, got dt=2.0"):
             integrate_fixed(DECAY, [1.0], 0.0, 1.0, 2)
+
+
+_DEMO = coupled_logistic_demo()
+_TRAJECTORY = integrate_fixed(DECAY, [1.0], 0.0, 1.0, 0.25)
+_LEVEL = [1.0, 2.0, 3.0]
+
+# (function, array argument): a call that passes the array, shaped like _LEVEL
+# where it is 1-D and cut to its first two entries where it is a 2-vector
+_ARRAY_ARGUMENTS = {
+    ("TimeSeries", "times"): lambda v: TimeSeries(v, _LEVEL),
+    ("TimeSeries", "values"): lambda v: TimeSeries(_LEVEL, v),
+    ("FieldSnapshot", "x_grid"): lambda v: FieldSnapshot(0.0, v, _LEVEL),
+    ("FieldSnapshot", "phi"): lambda v: FieldSnapshot(0.0, _LEVEL, v),
+    ("integrate_fixed", "y0"): lambda v: integrate_fixed(_DEMO, v[:2], 0.0, 1.0, 0.5),
+    ("integrate_adaptive", "y0"): lambda v: integrate_adaptive(_DEMO, v[:2], 0.0, 1.0),
+    ("stability_report", "guess"): lambda v: stability_report(_DEMO, v[:2]),
+    ("find_fixed_point", "guess"): lambda v: find_fixed_point(_DEMO, v[:2]),
+    ("linearize", "point"): lambda v: linearize(_DEMO, v[:2]),
+    ("interp_states", "times"): lambda v: interp_states(_TRAJECTORY, v),
+    ("emit_plot_series", "entry 0: x"):
+        lambda v: emit_plot_series([("a", v, _LEVEL)], "linear", io.StringIO()),
+    ("emit_plot_series", "entry 0: y"):
+        lambda v: emit_plot_series([("a", _LEVEL, v)], "linear", io.StringIO()),
+    ("eval_power_law", "t"): lambda v: models.eval_power_law(models.PowerLawParams(1, 1), v),
+    ("eval_saturating_linear", "t"):
+        lambda v: models.eval_saturating_linear(models.SaturatingLinearParams(1, 1), v),
+    ("eval_logistic_family", "t"): lambda v: models.eval_logistic_family(
+        models.GeneralizedLogisticParams(1, 0.5, 1, 0.5), v),
+    ("diffusion_point_source", "x"):
+        lambda v: diffusion_point_source(DiffusionParams(1.0), v, 1.0),
+    ("euler_terminal_profile", "x"): lambda v: euler_terminal_profile(SMALL, v),
+    ("characteristic_energy", "state"): lambda v: characteristic_energy(v[:2]),
+    ("Trajectory", "times"): lambda v: Trajectory(v, np.zeros((3, 1))),
+    ("Trajectory", "states"): lambda v: Trajectory(_LEVEL, np.reshape(v, (3, 1))),
+}
+
+
+class TestArrayArguments:
+    """Every public array argument follows the array rule before its own checks."""
+
+    @pytest.mark.parametrize("bad", [np.array(_LEVEL) + 1j, np.array(_LEVEL).astype(str),
+                                     [1.0, "2", 3.0], np.array(_LEVEL) > 1, [1j, 2.0, 3.0]])
+    @pytest.mark.parametrize("function, argument", list(_ARRAY_ARGUMENTS))
+    def test_non_real_arrays_refused_with_the_argument_named(self, function, argument, bad):
+        # complex used to lose its imaginary part (TimeSeries, FieldSnapshot)
+        # or raise a bare TypeError (a guess), and strings a bare ValueError
+        with pytest.raises(ValidationError, match=rf"^{argument} must be an array of reals: "):
+            _ARRAY_ARGUMENTS[function, argument](bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function, argument", [
+        ("integrate_fixed", "y0"), ("integrate_adaptive", "y0"), ("stability_report", "guess"),
+        ("find_fixed_point", "guess"), ("linearize", "point"), ("TimeSeries", "values"),
+        ("FieldSnapshot", "phi"), ("characteristic_energy", "state")])
+    def test_non_finite_states_refused(self, function, argument, bad):
+        # a non-finite y0 used to reach the solver: a NumericalError, or a
+        # misleading StiffnessError where the rhs stays finite (tanh, say)
+        with pytest.raises(ValidationError, match=f"^{argument} must hold finite values only$"):
+            _ARRAY_ARGUMENTS[function, argument]([1.0, bad, 3.0])
+
+    @pytest.mark.parametrize("function, argument", [
+        ("interp_states", "times"), ("emit_plot_series", "entry 0: y"), ("eval_power_law", "t"),
+        ("diffusion_point_source", "x"), ("euler_terminal_profile", "x")])
+    def test_evaluation_points_keep_nan_and_inf(self, function, argument):
+        # they reach the function's own domain check, or its output, unchanged
+        for bad in (math.nan, math.inf, -math.inf):
+            try:
+                _ARRAY_ARGUMENTS[function, argument]([1.0, bad, 3.0])
+            except ValidationError as exc:
+                assert not str(exc).startswith(f"{argument} must"), exc
+
+    @pytest.mark.parametrize("call, message, bad", [
+        (call, message, bad) for call, message, bads in (
+            (lambda v: stability_report(_DEMO, v), "guess must have shape (2,)",
+             ([1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0)),
+            # characteristic_energy used to take a 3-vector and fail on a scalar
+            (characteristic_energy, "state must have shape (2,)", ([1.0, 2.0, 3.0], 1.0)),
+            (lambda v: TimeSeries(v, v), "times must have shape (n,)", ([[1.0, 2.0]], 1.0)),
+            (lambda v: FieldSnapshot(0.0, v, v), "x_grid must have shape (n,)",
+             ([[1.0, 2.0]], 1.0)))
+        for bad in bads])
+    def test_wrong_shapes_refused(self, call, message, bad):
+        with pytest.raises(ValidationError, match=re.escape(message + ", got")):
+            call(bad)
+
+    def test_float64_arrays_are_not_copied(self):
+        values = np.array(_LEVEL)
+        assert check_array("v", values) is values
+        assert check_array("v", values[::2], (2,)).base is values
+
+    @pytest.mark.parametrize("values, expected", [
+        ([1, 2], [1.0, 2.0]), (np.arange(2, dtype=np.int8), [0.0, 1.0]),
+        (np.float32(0.5), 0.5), ([1.0, None], [1.0, math.nan]),
+        (np.array([1, 2.5], dtype=object), [1.0, 2.5])])
+    def test_reals_convert_to_float64(self, values, expected):
+        out = check_array("v", values, finite=False)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("values", [
+        True, [True, False], np.array([1, "2"], dtype=object), [1.0, [2.0]],
+        np.array([1, 1j], dtype=object), [10 ** 400], np.array(["2020-01-01"], dtype="M8[D]")])
+    def test_anything_else_is_refused(self, values):
+        with pytest.raises(ValidationError, match="^v must be an array of reals: "):
+            check_array("v", values, finite=False)
+
+    def test_shape_entries(self):
+        assert check_array("v", np.zeros((3, 2)), (None, 2)).shape == (3, 2)
+        with pytest.raises(ValidationError, match=re.escape("v must have shape (n, 3), got (3, 2)")):
+            check_array("v", np.zeros((3, 2)), (None, 3))

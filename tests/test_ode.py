@@ -202,6 +202,23 @@ class TestTrajectoryContract:
         with pytest.raises(ValidationError):
             integrate_fixed(DECAY, np.array([1.0, 2.0]), 0.0, 1.0, 0.1)
 
+    def test_one_state_row_per_time(self):
+        # interp_states used to end in numpy's bare ValueError
+        with pytest.raises(ValidationError, match=re.escape("states must have shape (3, n)")):
+            interp_states(Trajectory(np.arange(3.0), np.zeros((4, 2))), [1.0])
+
+    @pytest.mark.parametrize("times", [[], [0.0, 0.0], [1.0, 0.0]])
+    def test_times_strictly_increase(self, times):
+        with pytest.raises(ValidationError, match="times must be non-empty and strictly"):
+            Trajectory(times, np.zeros((len(times), 1)))
+        with pytest.raises(ValidationError, match="times must hold finite values only"):
+            Trajectory([0.0, math.nan], np.zeros((2, 1)))
+
+    def test_arrays_kept_or_converted(self):
+        times = np.arange(3.0)
+        traj = Trajectory(times, [[1], [2], [3]])
+        assert traj.times is times and traj.states.dtype == np.float64
+
 
 class TestInterpolation:
     def test_linear_reconstruction(self):
