@@ -111,6 +111,15 @@ class FieldSnapshot:
         if not (x.size and (x[1:] > x[:-1]).all()):
             raise ValidationError("x_grid must be non-empty and strictly increasing")
 
+    @classmethod
+    def _unchecked(cls, t, x_grid, phi):
+        """A snapshot of values that already follow the rules above (the
+        march's float t, its own read-only grid and a fresh finite field),
+        built without checking them again."""
+        snap = object.__new__(cls)
+        snap.__dict__.update(t=t, x_grid=x_grid, phi=phi)
+        return snap
+
 
 def diffusion_point_source(p: DiffusionParams, x, t: float):
     """Point-source diffusion profile at position x and time t > 0.
@@ -231,8 +240,9 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     the finiteness check.
 
     Snapshots are linearly interpolated in time between march steps and share
-    one read-only grid; one within 1e-12*t_end of 0 or of t_end is the initial
-    or the final field, a slack relative to t_end, so the march is scale-free.
+    one read-only grid, which the first snapshot checks for all; one within
+    1e-12*t_end of 0 or of t_end is the initial or the final field, a slack
+    relative to t_end, so the march is scale-free.
     A march past _MAX_STEPS steps raises NumericalError: before it starts when
     the acceleration bound or the advective bound at phi0 implies that many,
     else when the budget runs out.
@@ -268,9 +278,17 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     work = np.empty(setup.n_cells)
     speed = setup.phi0  # max|phi| of the flat start
     t = 0.0
+    snapshots = []
+
+    def take(s, field):
+        # The first snapshot checks the shared grid; the later ones reuse it,
+        # and the march has checked that every field it takes is finite.
+        snapshots.append(FieldSnapshot._unchecked(s, x, field) if snapshots
+                         else FieldSnapshot(t=s, x_grid=x, phi=field))
+
     # Snapshots at t = 0 (within round-off) are the initial field.
-    snapshots = [FieldSnapshot(t=s, x_grid=x, phi=phi.copy())
-                 for s in itertools.takewhile(lambda s: s <= tol, req)]
+    for s in itertools.takewhile(lambda s: s <= tol, req):
+        take(s, phi.copy())
     next_snap = len(snapshots)
     n_steps = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the check below catches inf/NaN
@@ -299,8 +317,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
             # The last step (t_new >= t_end) takes the rest: past t_new, w = 1.
             while next_snap < len(req) and req[next_snap] <= t_new + tol:
                 w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
-                snapshots.append(FieldSnapshot(t=req[next_snap], x_grid=x,
-                                               phi=(1.0 - w) * phi + w * new))
+                take(req[next_snap], (1.0 - w) * phi + w * new)
                 next_snap += 1
             phi, ahead, new, new_ahead = new, new_ahead, phi, ahead
             t = t_new

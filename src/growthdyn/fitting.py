@@ -4,14 +4,17 @@ The optimizer is a damped Gauss-Newton (Levenberg-Marquardt) iteration on a
 transformed parameter vector: positivity-constrained parameters (rates,
 damping coefficients, initial levels) are optimized as their natural logs,
 while the power-law exponent stays linear.  Residuals are taken either in
-value space or in log space, per the problem's loss_space, and differentiated
-in closed form (models).  One descent runs per fit, from the lowest-cost point
-of a fixed lattice around the caller's guess (scored in one broadcast
-evaluation), and stops when the parameters or the cost stop changing, so
-repeated calls on the same problem return identical results; dynsys finds
-fixed points with the same descent.
-Parameter names, records and evaluation come from the family table in
-models, terminal levels from models.terminal_value.
+value space or in log space, per the problem's loss_space.  One descent runs
+per fit, from the lowest-cost point of a fixed lattice around the caller's
+guess (scored in one broadcast evaluation), and stops when the parameters or
+the cost stop changing, so repeated calls on the same problem return
+identical results; dynsys finds fixed points with the same descent.
+The descent evaluates the family's closed form (models._closed_form_parts)
+on each trial point directly, refusing a point by the same rule as the
+lattice, and takes its Jacobian in closed form from the parts of that
+evaluation (models._dlog_dtheta); no record is built until the fit's
+terminal level (models.terminal_value) is.  Parameter names come from the
+family table in models.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -20,6 +23,7 @@ estimate (time to half the fitted terminal value).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import TimeSeries
-from .errors import (DomainError, NonConvergenceError, ParameterError,
-                     RankDeficiencyError, ValidationError, check_number,
-                     check_record)
+from .errors import (DomainError, NonConvergenceError, RankDeficiencyError,
+                     ValidationError, check_number, check_record)
 from .models import (FAMILIES, LOGISTIC_FAMILY, POWER_LAW, SATURATING_LINEAR,
-                     SaturatingLinearParams, _as_times, _closed_form, _dlog_dtheta,
-                     evaluate, fitted_names, make_record,
-                     terminal_value)
+                     SaturatingLinearParams, _as_times, _closed_form,
+                     _closed_form_parts, _damping, _dlog_dtheta, fitted_names,
+                     make_record, terminal_value)
 
 LOSS_LINEAR = "linear"
 LOSS_LOG = "log"
@@ -99,6 +102,7 @@ class FitResult:
     model: str
     loss_space: str
     alpha: int | None
+    evaluations: int = 0             # closed-form evaluations of the descent
 
     def named_params(self) -> dict:
         return dict(zip(self.param_names, self.params))
@@ -130,47 +134,79 @@ def _to_theta(params, is_log):
 
 
 def _from_theta(theta, is_log):
-    return tuple(math.exp(v) if lg else float(v)
-                 for v, lg in zip(theta, is_log))
+    return tuple(math.exp(v) if lg else v for v, lg in zip(theta.tolist(), is_log))
 
 
-def _residual_fn(problem, is_log):
-    """residual(theta) -> (r, (record, yhat)), None at an invalid point, and
-    jacobian(theta, (record, yhat)) -> dr/dtheta from the closed form."""
+def _n_rates(model):
+    # the rates a and b lead fitted_names in every family
+    return sum(name in ("a", "b") for name in fitted_names(model))
+
+
+def _descent(problem, is_log):
+    """(residual, jacobian, evaluations) of one fit, run under the caller's
+    errstate.  residual(theta) is (r, (yhat, p, parts)), or None where the
+    lattice rule (_lattice_costs) refuses theta; jacobian(theta, (yhat, p,
+    parts)) is dr/dtheta from those parts, or None where not finite; and
+    evaluations() counts the residual calls that reached the closed form."""
     t = problem.series.times
     model, alpha = problem.model, problem.alpha
     y = problem.series.values
     log_y = np.log(y) if problem.loss_space == LOSS_LOG else None
+    n_rates = _n_rates(model)
+    logistic = model == LOGISTIC_FAMILY
+    fixed = None
+    if model == POWER_LAW:  # its columns do not depend on its parameters
+        fixed = _dlog_dtheta(model, None, t, alpha, None)
+        fixed.flags.writeable = False
+    count = 0
 
     def residual(theta):
+        nonlocal count
         try:
-            record = make_record(model, _from_theta(theta, is_log), alpha)
-            yhat = evaluate(record, t)  # finite, or DomainError
-        except (ParameterError, DomainError, OverflowError):
-            return None  # invalid or overflowing trial point: reject the step
+            p = _from_theta(theta, is_log)
+        except OverflowError:
+            return None
+        if not (all(map(math.isfinite, p)) and min(p[:n_rates]) > 0) or (
+                logistic and p[0] < _damping(p[1], p[2], alpha)):
+            return None
+        count += 1
+        yhat, parts = _closed_form_parts(model, p, t, alpha)
+        if not np.isfinite(yhat).all():
+            return None
         if log_y is None:
-            return yhat - y, (record, yhat)
+            return yhat - y, (yhat, p, parts)
         if (yhat <= 0).any():
             return None
-        return np.log(yhat) - log_y, (record, yhat)
+        return np.log(yhat) - log_y, (yhat, p, parts)
 
     def jacobian(theta, evaluated):
-        record, yhat = evaluated
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = _dlog_dtheta(record, t)
-            if log_y is None:
-                jac *= yhat[:, None]  # d yhat = yhat d ln yhat
+        yhat, p, parts = evaluated
+        jac = fixed if fixed is not None else _dlog_dtheta(model, p, t, alpha, parts)
+        if log_y is None:
+            jac = jac * yhat[:, None]  # d yhat = yhat d ln yhat
         return jac if np.isfinite(jac).all() else None
 
-    return residual, jacobian
+    return residual, jacobian, lambda: count
+
+
+def _residual_fn(problem, is_log):
+    """_descent's residual and jacobian, each under its own errstate."""
+    def quiet(fn):
+        def call(*args):
+            with np.errstate(all="ignore"):
+                return fn(*args)
+        return call
+    return tuple(map(quiet, _descent(problem, is_log)[:2]))
+
+
+def _half_sq(point):
+    return math.inf if point is None else 0.5 * float(point[0] @ point[0])
 
 
 def _cost(point):
     """Half the squared residual norm; inf for an unevaluable or overflowing point."""
-    if point is None:
-        return math.inf
     with np.errstate(over="ignore"):
-        return 0.5 * float(point[0] @ point[0])
+        return _half_sq(point)
 
 
 def _lattice_costs(problem, is_log, thetas):
@@ -182,8 +218,7 @@ def _lattice_costs(problem, is_log, thetas):
     y = problem.series.values
     with np.errstate(all="ignore"):
         p = np.where(is_log, np.exp(thetas), thetas)
-        rate = np.array([name in ("a", "b") for name in fitted_names(problem.model)])
-        ok = np.isfinite(p).all(axis=1) & ~((p <= 0) & rate).any(axis=1)
+        ok = np.isfinite(p).all(axis=1) & (p[:, :_n_rates(problem.model)] > 0).all(axis=1)
         yhat = _closed_form(problem.model, p.T[:, :, None], problem.series.times,
                             problem.alpha)
         ok &= np.isfinite(yhat).all(axis=1)
@@ -192,42 +227,58 @@ def _lattice_costs(problem, is_log, thetas):
         return np.where(ok, 0.5 * np.einsum("ij,ij->i", r, r), math.inf)
 
 
+@functools.cache
+def _lattice_offsets(n):
+    """_LATTICE_STEP*{0, -1, 1}**n, zero first so argmin keeps the guess on ties."""
+    offsets = _LATTICE_STEP * np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=n)))
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _lm_once(residual, jacobian, theta, point, tol, max_iter):
     """Levenberg-Marquardt from theta, where point = residual(theta).
 
     residual(theta) is None where it cannot evaluate, else (r, aux), and
     jacobian(theta, aux) is dr/dtheta or None.  Returns (theta, point,
-    iterations, converged, jac at the iterate before the last step).
+    iterations, converged, jac at the iterate before the last step).  Runs
+    under the caller's numpy errstate.
     """
-    cost = _cost(point)
+    cost = _half_sq(point)
     if not math.isfinite(cost):
         return theta, point, 0, False, None
     lam = _LAMBDA_INIT
+    small_rel = max(tol * tol, _EPS)
     for it in range(1, max_iter + 1):
         jac = jacobian(theta, point[1])
         if jac is None:
             return theta, point, it, False, None
         grad = jac.T @ point[0]
+        neg_grad = -grad
         jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(1e-30, float(diag.max(initial=0.0)) * 1e-15)
+        jtj_diag = jtj.diagonal()
+        diag = jtj_diag.copy()
+        if min(diag.tolist()) <= 0:
+            diag[diag <= 0] = max(1e-30, float(diag.max(initial=0.0)) * 1e-15)
+        damped = jtj.copy()
+        damped_diag = damped.reshape(-1)[::theta.size + 1]  # a view of its diagonal
         while lam <= _LAMBDA_CEIL:
+            np.add(jtj_diag, lam * diag, out=damped_diag)
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, neg_grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial = theta + step
             point_trial = residual(trial)
-            cost_trial = _cost(point_trial)
+            cost_trial = _half_sq(point_trial)
             if cost_trial <= cost:
                 step = trial - theta  # the step as taken, rounded like trial
                 # Moré's stop: actual and predicted cost reductions both within
                 # tol**2 of the cost (it is quadratic in the parameter error), or
                 # within float64 resolution where tol**2 is below it.
                 predicted = -float(grad @ step + 0.5 * step @ jtj @ step)
-                small = max(cost - cost_trial, predicted) <= max(tol * tol, _EPS) * cost
-                step_rel = float(np.linalg.norm(step)) / (1.0 + float(np.linalg.norm(theta)))
+                small = max(cost - cost_trial, predicted) <= small_rel * cost
+                step_rel = math.sqrt(step @ step) / (1.0 + math.sqrt(theta @ theta))
                 theta, point, cost = trial, point_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
                 if small or (step_rel <= tol and float(np.abs(jac.T @ point[0]).max())
@@ -244,21 +295,32 @@ def _lm_once(residual, jacobian, theta, point, tol, max_iter):
     return theta, point, max_iter, False, jac
 
 
+def _condition(jac):
+    """np.linalg.cond of a finite jac (0/0 read as inf), inf for None."""
+    if jac is None:
+        return math.inf
+    s = np.linalg.svd(jac, compute_uv=False)
+    ratio = float(s[0] / s[-1])
+    return math.inf if math.isnan(ratio) else ratio
+
+
 def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResult:
     """Estimate model parameters by one Levenberg-Marquardt descent.
 
     The descent starts from the lowest-cost point of the lattice
     guess + 1.5*{0, -1, 1}^n in the optimized coordinates (logs of positive
     parameters); the guess itself wins ties.  The lattice is scored in one
-    broadcast evaluation of the family's closed form, and the Jacobian is
-    analytic, so the model is then evaluated once at the lattice's best
-    point and once per trial step.  The descent converges when the relative
-    parameter update and the gradient both fall below tol, or when an
-    accepted step cuts the cost by at most max(tol**2, float64 epsilon)
-    relative, both actually and as linearized (the stop for data at its
-    noise floor), and the last Jacobian it used is not singular.  Otherwise
-    NonConvergenceError carries the last iterate as ``best``; a constant
-    series (range at most 1e-12 times its largest magnitude) raises
+    broadcast evaluation of the family's closed form.  The descent then
+    evaluates that closed form directly, once at the lattice's best point
+    and once per trial step that passes the lattice's refusal rule, and
+    takes its analytic Jacobian from the parts of the residual's evaluation;
+    FitResult.evaluations counts those evaluations.  The descent converges
+    when the relative parameter update and the gradient both fall below tol,
+    or when an accepted step cuts the cost by at most max(tol**2, float64
+    epsilon) relative, both actually and as linearized (the stop for data at
+    its noise floor), and the last Jacobian it used is not singular.
+    Otherwise NonConvergenceError carries the last iterate as ``best``; a
+    constant series (range at most 1e-12 times its largest magnitude) raises
     RankDeficiencyError up front.  For the logistic family with alpha = 0
     the model is phi0*exp((a - b) t): only a - b and phi0 are identifiable.
     """
@@ -270,29 +332,30 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
             "constant series carries no information about growth rates")
 
     is_log = _theta_is_log(problem.model)
-    residual, jacobian = _residual_fn(problem, is_log)
     theta0 = _to_theta(problem.initial_guess, is_log)
-    # the zero offset first, so argmin keeps the guess on ties
-    lattice = theta0 + _LATTICE_STEP * np.array(
-        list(itertools.product((0.0, -1.0, 1.0), repeat=theta0.size)))
+    lattice = theta0 + _lattice_offsets(theta0.size)
     theta = lattice[int(np.argmin(_lattice_costs(problem, is_log, lattice)))]
-    point = residual(theta)
-    theta, point, iters, converged, jac = _lm_once(
-        residual, jacobian, theta, point, tol, max_iter)
-    rmse = math.sqrt(2.0 * _cost(point) / len(problem.series))  # inf stays inf
-    condition = float(np.linalg.cond(jac)) if jac is not None else math.inf
+    residual, jacobian, evaluations = _descent(problem, is_log)
+    with np.errstate(all="ignore"):
+        theta, point, iters, converged, jac = _lm_once(
+            residual, jacobian, theta, residual(theta), tol, max_iter)
+        rmse = math.sqrt(2.0 * _half_sq(point) / len(problem.series))  # inf stays inf
+        condition = _condition(jac)
+    params = _from_theta(theta, is_log)
     result = FitResult(
-        params=_from_theta(theta, is_log),
+        params=params,
         param_names=fitted_names(problem.model),
         rmse=rmse,
         iterations=iters,
         # a singular Jacobian leaves a parameter undetermined: not converged
         converged=converged and math.isfinite(condition),
-        terminal_forecast=terminal_value(point[1][0]) if point is not None else None,
+        terminal_forecast=(terminal_value(make_record(problem.model, params, problem.alpha))
+                           if point is not None else None),
         jacobian_condition=condition,
         model=problem.model,
         loss_space=problem.loss_space,
         alpha=problem.alpha if problem.model == LOGISTIC_FAMILY else None,
+        evaluations=evaluations(),
     )
     if not result.converged:
         why = (": no lattice point could be evaluated" if iters == 0 else

@@ -71,15 +71,20 @@ class GeneralizedLogisticParams:
 
     def __post_init__(self):
         check_record(self, positive=("a", "b"), non_negative=("alpha", "phi0"))
-        # phi0**alpha past float64 is above any finite a
-        try:
-            damping = self.b * self.phi0 ** self.alpha
-        except OverflowError:
-            damping = math.inf
+        damping = _damping(self.b, self.phi0, self.alpha)
         if self.a < damping:
             raise ParameterError(
                 f"growth regime requires a >= b*phi0**alpha; got a={self.a}, "
                 f"b*phi0**alpha={damping}")
+
+
+def _damping(b, phi0, alpha):
+    """b*phi0**alpha for floats; inf where phi0**alpha passes float64, which
+    puts it above any finite a."""
+    try:
+        return b * phi0 ** alpha
+    except OverflowError:
+        return math.inf
 
 
 FAMILIES = {POWER_LAW: PowerLawParams, SATURATING_LINEAR: SaturatingLinearParams,
@@ -102,27 +107,6 @@ def make_record(family, params, alpha=None):
     return FAMILIES[family](*params)
 
 
-def _dlog_dtheta(params, t):
-    """Columns of d ln(phi)/d theta at times t (an array) in a fit's coordinates
-    (ln p, beta as it is); a column in ln t or b t is 0 at t = 0."""
-    one = np.ones_like(t)
-    if isinstance(params, PowerLawParams):
-        return np.column_stack((one, np.log(np.where(t > 0, t, 1.0))))
-    if isinstance(params, SaturatingLinearParams):  # t capped at 700/b as evaluated
-        bt = params.b * np.minimum(t, _EXP_MAX / params.b)
-        x = np.where(bt > 0, bt, 1.0)
-        return np.column_stack((one, np.where(bt > 0, x / np.expm1(x) - 1.0, 0.0)))
-    a, b, al, phi0 = params.a, params.b, params.alpha, params.phi0
-    if al == 0:  # ln phi = ln phi0 + (a - b) t
-        return np.column_stack((a * t, -b * t, one))
-    # ln phi = ln phi0 - ln(D)/alpha, D = r + (1 - r) E, E = exp(-alpha a t)
-    r = b * phi0 ** al / a
-    e = np.exp(-al * a * t)
-    d = r + (1.0 - r) * e
-    u = r * (1.0 - e) / d
-    return np.column_stack((u / al + (1.0 - r) * a * t * e / d, -u / al, 1.0 - u))
-
-
 def _as_times(t):
     """Validate t >= 0 and return (array, was_scalar)."""
     arr = check_array("t", t, finite=False)
@@ -142,32 +126,76 @@ def _in_range(params, out, scalar):
     return float(out) if scalar else out
 
 
+def _closed_form_parts(family, p, t, alpha=None):
+    """(value, parts): a family's closed form at times t (an array), and what
+    _dlog_dtheta reuses of it, b*min(t, 700/b) for the saturating law and
+    (r, e, d) = (b*phi0**alpha/a, exp(-alpha a t), r + (1 - r) e) for the
+    logistic family with alpha >= 1 (else None).  p holds the fitted
+    parameters in fitted_names order, floats or (m, 1) columns of m sets;
+    alpha is a Python int.  A column set below the growth regime (a <
+    b*phi0**alpha) reads NaN, and float parameters must lie in it (_damping).
+    A value outside float64 range comes back non-finite, under the caller's
+    errstate."""
+    if family == POWER_LAW:
+        a, beta = p
+        return a * np.power(t, beta), None
+    if family == SATURATING_LINEAR:
+        a, b = p
+        bt = b * np.minimum(t, _EXP_MAX / b)
+        return -(a / b) * np.expm1(-bt), bt
+    a, b, phi0 = p
+    damping = b * phi0 ** alpha
+    if alpha == 0:  # a float takes math.log, whose bits np.log does not always match
+        log_phi0 = (np.log(phi0) if np.ndim(phi0) else
+                    math.log(phi0) if phi0 > 0 else -math.inf)
+        out, parts = np.exp((a - b) * t + log_phi0), None
+    else:
+        r = damping / a
+        e = np.exp(-alpha * a * t)
+        d = r + (1.0 - r) * e
+        out, parts = phi0 / d ** (1.0 / alpha), (r, e, d)
+    # a start on a fixed point (phi0 = 0, or a == b*phi0**alpha) stays there;
+    # the value is replaced only where some start is on one
+    if np.ndim(phi0):
+        fixed, below = (phi0 == 0) | (a == damping), a < damping
+        out = np.where(fixed, phi0, out) if fixed.any() else out
+        return (np.where(below, np.nan, out) if below.any() else out), parts
+    return (np.full_like(out, phi0) if phi0 == 0 or a == damping else out), parts
+
+
 def _closed_form(family, p, t, alpha=None):
-    """A family's closed form at times t (an array), p its fitted parameters
-    in fitted_names order: floats, or (m, 1) columns of m parameter sets at
-    once, alpha a Python int either way.  A logistic set below the growth
-    regime (a < b*phi0**alpha) reads NaN, and any other value outside
-    float64 range comes back non-finite, without a warning.
-    """
+    """_closed_form_parts's value alone, without a numpy warning."""
     with np.errstate(all="ignore"):
-        if family == POWER_LAW:
-            a, beta = p
-            return a * np.power(t, beta)
-        if family == SATURATING_LINEAR:
-            a, b = p
-            return -(a / b) * np.expm1(-b * np.minimum(t, _EXP_MAX / b))
-        a, b, phi0 = p
-        damping = b * phi0 ** alpha
-        if alpha == 0:  # a float takes math.log, whose bits np.log does not always match
-            log_phi0 = (np.log(phi0) if np.ndim(phi0) else
-                        math.log(phi0) if phi0 > 0 else -math.inf)
-            out = np.exp((a - b) * t + log_phi0)
-        else:
-            r = damping / a
-            out = phi0 / (r + (1.0 - r) * np.exp(-alpha * a * t)) ** (1.0 / alpha)
-        # a start on a fixed point (phi0 = 0, or a == b*phi0**alpha) stays there
-        out = np.where((phi0 == 0) | (a == damping), phi0, out)
-        return np.where(a < damping, np.nan, out)
+        return _closed_form_parts(family, p, t, alpha)[0]
+
+
+def _dlog_dtheta(family, p, t, alpha, parts):
+    """Columns of d ln(phi)/d theta at times t (an array) in a fit's coordinates
+    (ln p, beta as it is), from float parameters p and the parts that
+    _closed_form_parts gave with their value; a column in ln t or b t is 0 at
+    t = 0."""
+    jac = np.empty((t.size, len(_FITTED_NAMES[family])))
+    if family != LOGISTIC_FAMILY:
+        jac[:, 0] = 1.0
+    if family == POWER_LAW:
+        jac[:, 1] = np.log(np.where(t > 0, t, 1.0))
+    elif family == SATURATING_LINEAR:  # parts: b t, with t capped at 700/b as evaluated
+        x = np.where(parts > 0, parts, 1.0)
+        jac[:, 1] = np.where(parts > 0, x / np.expm1(x) - 1.0, 0.0)
+    elif alpha == 0:  # ln phi = ln phi0 + (a - b) t
+        a, b, _ = p
+        jac[:, 0] = a * t
+        jac[:, 1] = -b * t
+        jac[:, 2] = 1.0
+    else:  # ln phi = ln phi0 - ln(d)/alpha, d = r + (1 - r) e, e = exp(-alpha a t)
+        a = p[0]
+        r, e, d = parts
+        u = r * (1.0 - e) / d
+        u_alpha = u / alpha
+        np.add(u_alpha, (1.0 - r) * a * t * e / d, out=jac[:, 0])
+        np.negative(u_alpha, out=jac[:, 1])
+        np.subtract(1.0, u, out=jac[:, 2])
+    return jac
 
 
 def eval_power_law(params: PowerLawParams, t):

@@ -86,7 +86,9 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     The last step is shortened so the final grid point equals t1 exactly.
     Global error is O(dt**4) on smooth systems.  The rhs shape is checked on
     the first call and the state's finiteness once per step; a march of more
-    than _MAX_STEPS steps is refused before anything is allocated.
+    than _MAX_STEPS steps is refused before anything is allocated, and a
+    grid t0 + i*dt that does not increase (dt below the float spacing of t)
+    before the first step.
     """
     t0, t1, dt = _check_span(t0, t1, dt=dt)
     span = t1 - t0
@@ -101,6 +103,10 @@ def integrate_fixed(system: AutonomousSystem, y0, t0: float, t1: float, dt: floa
     times = t0 + np.arange(n_steps + 1) * dt
     times[0] = t0  # exact: -0.0 + 0.0 would read +0.0
     times[-1] = t1
+    if not (times[1:] > times[:-1]).all():
+        raise ValidationError(
+            f"dt={dt!r} is below the resolution of t near t0={t0!r} "
+            f"(math.ulp(t0)={math.ulp(t0)!r}): the time grid does not increase")
     states = np.empty((n_steps + 1, system.dimension))
     states[0] = y
     rhs = system.rhs
@@ -133,7 +139,9 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
     (5 at err = 0), so a non-finite trial stage or state, whose err is not
     finite, is rejected and shrinks h by 5.  A non-finite initial derivative
     aborts, a step below 1e-14*(t1 - t0) raises StiffnessError, and more than
-    _MAX_STEPS tried steps, accepted or rejected, raise NumericalError.
+    _MAX_STEPS tried steps, accepted or rejected, raise NumericalError, as
+    does a step h below the resolution of t (t + h == t, where |t| is some
+    hundred spans or more).
     """
     t0, t1, rel_tol, abs_tol = _check_span(t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
     y = check_array("y0", y0, (system.dimension,))
@@ -155,6 +163,10 @@ def integrate_adaptive(system: AutonomousSystem, y0, t0: float, t1: float,
             if h < h_min:
                 raise StiffnessError(
                     f"step size underflow at t={t!r} (h={h!r} < {h_min!r}); "
+                    f"{n_accept} accepted / {n_reject} rejected steps so far")
+            if t + h == t:
+                raise NumericalError(
+                    f"step h={h!r} is below the resolution of t={t!r} (t + h == t); "
                     f"{n_accept} accepted / {n_reject} rejected steps so far")
             ks = [k1]
             err = math.inf

@@ -41,7 +41,7 @@ def _write_saturating_csv(path, a=3.0, b=0.8, n=60):
 
 
 _FIT_KEYS = {"model", "loss_space", "alpha", "params", "rmse", "iterations",
-             "converged", "terminal_forecast", "jacobian_condition"}
+             "converged", "terminal_forecast", "jacobian_condition", "evaluations"}
 _ONSET_KEYS = {"half_terminal_time", "terminal_value", "crude_scale"}
 
 

@@ -308,6 +308,24 @@ class TestUpwindScheme:
         np.testing.assert_array_equal(snaps[0].x_grid, setup.cell_centers())
         np.testing.assert_allclose(snaps[0].phi, -0.3)
 
+    def test_march_checks_its_grid_once(self, monkeypatch):
+        # the first of 41 snapshots checks the shared grid and its field; the
+        # rest take the grid and the march's finite fields as they are
+        names = []
+        check = fields.check_array
+        monkeypatch.setattr(fields, "check_array",
+                            lambda name, *args: names.append(name) or check(name, *args))
+        setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
+        snaps = evolve_advection_fd(setup, 20.0, np.linspace(0.0, 20.0, 41))
+        assert len(snaps) == 41
+        assert names == ["x_grid", "phi"]
+
+    def test_march_refuses_a_grid_below_the_resolution_of_x(self):
+        # cells 1/16 wide near 1e15, where floats lie 1/8 apart
+        setup = AdvectionSetup(x_min=1e15, x_max=1e15 + 64.0, n_cells=1024)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            evolve_advection_fd(setup, 1.0, [0.5, 1.0])
+
     def test_field_deepens_toward_terminal(self):
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
         snaps = evolve_advection_fd(setup, 20.0, [0.0, 10.0, 20.0])

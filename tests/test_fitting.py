@@ -250,22 +250,18 @@ class TestStartAndStop:
                 result = fit(FitProblem(series, LOGISTIC_FAMILY, guess, alpha=alpha))
                 assert result.params == pytest.approx(truth, rel=1e-6), guess
 
-    def test_evaluation_budget(self, monkeypatch):
+    def test_evaluation_budget(self):
         # one descent, stopped once the cost no longer falls: at most 150
         # model evaluations per fit on 1%-noise logistic data
-        calls = []
-        evaluate = models.eval_logistic_family
-        monkeypatch.setattr(models, "eval_logistic_family",
-                            lambda *args: calls.append(1) or evaluate(*args))
         t = np.linspace(0.0, 3.0, 90)
-        clean = evaluate(GeneralizedLogisticParams(a=5.0, b=1.0, alpha=1, phi0=1.0), t)
+        clean = models.eval_logistic_family(
+            GeneralizedLogisticParams(a=5.0, b=1.0, alpha=1, phi0=1.0), t)
         rng = np.random.default_rng(7)
         for _ in range(10):
             noisy = clean * (1.0 + 0.01 * rng.standard_normal(t.size))
-            calls.clear()
             result = fit(FitProblem(_series(t, noisy), LOGISTIC_FAMILY, (3.0, 2.0, 0.5)))
             assert result.converged
-            assert 0 < len(calls) <= 150
+            assert 0 < result.evaluations <= 150
 
     def test_alpha0_fits_only_the_rate_difference(self):
         # phi0*exp((a - b) t): a and b alone are not identifiable, a - b is

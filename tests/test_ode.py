@@ -91,6 +91,15 @@ class TestFixedStep:
             integrate_fixed(DECAY, np.array([1.0]), 0.0, 1e3, 1e-9)
         assert time.perf_counter() - start < 0.1
 
+    def test_step_below_the_resolution_of_t_refused_before_stepping(self):
+        # t0 + i*dt rounds to the float spacing of 1e12, about 1.2e-4
+        calls = []
+        system = AutonomousSystem(1, lambda s: calls.append(1) or -s)
+        with pytest.raises(ValidationError,
+                           match=r"dt=1e-06 .*math\.ulp\(t0\)=0\.0001220703125"):
+            integrate_fixed(system, np.array([1.0]), 1e12, 1e12 + 1e-3, 1e-6)
+        assert not calls
+
     def test_two_dimensional_rotation(self):
         system = AutonomousSystem(2, lambda s: np.array([-s[1], s[0]]))
         traj = integrate_fixed(system, np.array([1.0, 0.0]), 0.0, 2.0 * math.pi, 0.001)
@@ -158,6 +167,17 @@ class TestAdaptive:
         match = re.search(r"at t=(\S+) .* (\d+) rejected", str(info.value))
         assert 1.0 - 1e-12 < float(match.group(1)) < 1.0
         assert int(match.group(2)) > 0
+
+    def test_step_below_the_resolution_of_t_is_refused_where_it_happens(self):
+        # h = span/100 is below half the float spacing of 1e12: t + h == t
+        calls = []
+        system = AutonomousSystem(1, lambda s: calls.append(1) or -s)
+        with pytest.raises(NumericalError,
+                           match=r"h=9\.765625e-06 .* t=1000000000000\.0 \(t \+ h == t\); "
+                                 r"0 accepted") as info:
+            integrate_adaptive(system, np.array([1.0]), 1e12, 1e12 + 1e-3)
+        assert not isinstance(info.value, StiffnessError)
+        assert len(calls) == 1  # the initial derivative only
 
     def test_step_budget_ends_a_long_run(self, monkeypatch):
         # a rotation held to 1e-10 over ten periods takes hundreds of steps

@@ -57,7 +57,7 @@ PUBLIC_PARAMETERS = {
     "FitProblem": ("series", "model", "initial_guess", "loss_space", "alpha"),
     "FitResult": ("params", "param_names", "rmse", "iterations", "converged",
                   "terminal_forecast", "jacobian_condition", "model", "loss_space",
-                  "alpha"),
+                  "alpha", "evaluations"),
     "FixedPoint2D": ("s_c", "r_c", "residual_norm"),
     "GeneralizedLogisticParams": ("a", "b", "alpha", "phi0"),
     "OnsetEstimate": ("half_terminal_time", "terminal_value", "crude_scale"),
