@@ -114,21 +114,23 @@ def _read_stream(fh, origin, time_col, value_col, label, kind):
     if fh.read(1) != "\ufeff":  # Excel's "CSV UTF-8" export writes one
         fh.seek(start)
     start = fh.tell()
+    # the columns a row needs, counted from its end for a negative index
+    width = max(time_col, value_col, -1 - min(time_col, value_col)) + 1
     if min(time_col, value_col) >= 0:  # negative indices: the row pass only
         try:
-            return TimeSeries(*_load_columns(fh, start, time_col, value_col),
+            return TimeSeries(*_load_columns(fh, start, width, time_col, value_col),
                               label=label, kind=kind)
         except UnicodeDecodeError:
             raise  # unreadable, not malformed: no row pass can name a line
         except (ValueError, OverflowError, ValidationError, csv.Error):
             fh.seek(start)  # the row pass gives the verdict and its line number
-    return _read_rows(fh, origin, time_col, value_col, label, kind)
+    return _read_rows(fh, origin, width, time_col, value_col, label, kind)
 
 
-def _load_columns(fh, start, time_col, value_col):
+def _load_columns(fh, start, width, time_col, value_col):
     """Both columns in one np.loadtxt call, line 1 skipped by _read_rows' rule."""
     first = next(csv.reader([fh.readline()]), [])
-    if len(first) <= max(time_col, value_col) or (
+    if len(first) < width or (
             _is_number(first[time_col]) and _is_number(first[value_col])):
         fh.seek(start)  # not a header line
     data = fh.tell()
@@ -148,19 +150,18 @@ def _is_number(cell):
     return True
 
 
-def _read_rows(fh, origin, time_col, value_col, label, kind):
+def _read_rows(fh, origin, width, time_col, value_col, label, kind):
     """Row-by-row parse that names the first faulty line."""
     times: list[float] = []
     values: list[float] = []
-    needed = max(time_col, value_col) + 1
     reader = csv.reader(fh)
     try:
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < needed:
+            if len(row) < width:
                 raise DataIOError(
-                    f"{origin}, line {lineno}: expected at least {needed} columns, "
+                    f"{origin}, line {lineno}: expected at least {width} columns, "
                     f"got {len(row)}")
             try:
                 t = float(row[time_col])

@@ -9,12 +9,12 @@ per fit, from the lowest-cost point of a fixed lattice around the caller's
 guess (scored in one broadcast evaluation), and stops when the parameters or
 the cost stop changing, so repeated calls on the same problem return
 identical results; dynsys finds fixed points with the same descent.
-The descent evaluates the family's closed form (models._closed_form_parts)
-on each trial point directly, refusing a point by the same rule as the
-lattice, and takes its Jacobian in closed form from the parts of that
-evaluation (models._dlog_dtheta); no record is built until the fit's
-terminal level (models.terminal_value) is.  Parameter names come from the
-family table in models.
+One closure set (_descent) holds the fit's refusal rule in both forms: the
+lattice's broadcast score and the descent's residual, which evaluates the
+family's closed form (models._closed_form_parts) on each trial point directly
+and hands the parts of that evaluation to the closed-form Jacobian
+(models._dlog_dtheta); no record is built until the fit's terminal level
+(models.terminal_value) is.  Parameter names come from the family table.
 
 Alongside the fitter live two diagnostics: a classifier that decides whether
 the leading portion of a series looks exponential or power-law (competing
@@ -137,28 +137,41 @@ def _from_theta(theta, is_log):
     return tuple(math.exp(v) if lg else v for v, lg in zip(theta.tolist(), is_log))
 
 
-def _n_rates(model):
-    # the rates a and b lead fitted_names in every family
-    return sum(name in ("a", "b") for name in fitted_names(model))
-
-
 def _descent(problem, is_log):
-    """(residual, jacobian, evaluations) of one fit, run under the caller's
-    errstate.  residual(theta) is (r, (yhat, p, parts)), or None where the
-    lattice rule (_lattice_costs) refuses theta; jacobian(theta, (yhat, p,
-    parts)) is dr/dtheta from those parts, or None where not finite; and
-    evaluations() counts the residual calls that reached the closed form."""
+    """(lattice, residual, jacobian, evaluations) of one fit, run under the
+    caller's errstate, with one rule for refusing a point: a parameter not
+    finite, a rate a or b at or below 0 (phi0 may underflow to 0), a value
+    outside float64 range or below the logistic growth regime, or a value <= 0
+    under log loss.  lattice(thetas) is the cost (half the squared residual,
+    inf where refused) of every row of thetas in one broadcast evaluation;
+    residual(theta) is (r, (yhat, p, parts)) of one point in float arithmetic,
+    or None where refused; jacobian(theta, (yhat, p, parts)) is dr/dtheta
+    from those parts, or None where not finite; evaluations() counts the
+    residual calls that reached the closed form.  The rule keeps both forms
+    because each is the fast one for its caller: scoring the lattice point by
+    point adds a third to half of a fit's time, and the descent on (1, 1)
+    columns would make each evaluation 2.3 times as slow."""
     t = problem.series.times
     model, alpha = problem.model, problem.alpha
     y = problem.series.values
     log_y = np.log(y) if problem.loss_space == LOSS_LOG else None
-    n_rates = _n_rates(model)
+    # the rates a and b lead fitted_names in every family
+    n_rates = sum(name in ("a", "b") for name in fitted_names(model))
     logistic = model == LOGISTIC_FAMILY
     fixed = None
     if model == POWER_LAW:  # its columns do not depend on its parameters
         fixed = _dlog_dtheta(model, None, t, alpha, None)
         fixed.flags.writeable = False
     count = 0
+
+    def lattice(thetas):
+        p = np.where(is_log, np.exp(thetas), thetas)
+        ok = np.isfinite(p).all(axis=1) & (p[:, :n_rates] > 0).all(axis=1)
+        yhat = _closed_form(model, p.T[:, :, None], t, alpha)  # NaN below the regime
+        ok &= np.isfinite(yhat).all(axis=1)
+        # no family takes a negative value, and the log of a 0 makes the cost inf
+        r = yhat - y if log_y is None else np.log(yhat) - log_y
+        return np.where(ok, 0.5 * np.einsum("ij,ij->i", r, r), math.inf)
 
     def residual(theta):
         nonlocal count
@@ -186,45 +199,11 @@ def _descent(problem, is_log):
             jac = jac * yhat[:, None]  # d yhat = yhat d ln yhat
         return jac if np.isfinite(jac).all() else None
 
-    return residual, jacobian, lambda: count
-
-
-def _residual_fn(problem, is_log):
-    """_descent's residual and jacobian, each under its own errstate."""
-    def quiet(fn):
-        def call(*args):
-            with np.errstate(all="ignore"):
-                return fn(*args)
-        return call
-    return tuple(map(quiet, _descent(problem, is_log)[:2]))
+    return lattice, residual, jacobian, lambda: count
 
 
 def _half_sq(point):
     return math.inf if point is None else 0.5 * float(point[0] @ point[0])
-
-
-def _cost(point):
-    """Half the squared residual norm; inf for an unevaluable or overflowing point."""
-    with np.errstate(over="ignore"):
-        return _half_sq(point)
-
-
-def _lattice_costs(problem, is_log, thetas):
-    """_cost(residual(theta)) for every row of thetas in one broadcast
-    evaluation, inf wherever residual would refuse the row: a parameter that
-    is not finite, a rate a or b at or below 0 (phi0 may underflow to 0), a
-    value outside float64 range or below the logistic growth regime, or a
-    value <= 0 under log loss."""
-    y = problem.series.values
-    with np.errstate(all="ignore"):
-        p = np.where(is_log, np.exp(thetas), thetas)
-        ok = np.isfinite(p).all(axis=1) & (p[:, :_n_rates(problem.model)] > 0).all(axis=1)
-        yhat = _closed_form(problem.model, p.T[:, :, None], problem.series.times,
-                            problem.alpha)
-        ok &= np.isfinite(yhat).all(axis=1)
-        # no family takes a negative value, and the log of a 0 makes the cost inf
-        r = np.log(yhat) - np.log(y) if problem.loss_space == LOSS_LOG else yhat - y
-        return np.where(ok, 0.5 * np.einsum("ij,ij->i", r, r), math.inf)
 
 
 @functools.cache
@@ -333,10 +312,10 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
 
     is_log = _theta_is_log(problem.model)
     theta0 = _to_theta(problem.initial_guess, is_log)
-    lattice = theta0 + _lattice_offsets(theta0.size)
-    theta = lattice[int(np.argmin(_lattice_costs(problem, is_log, lattice)))]
-    residual, jacobian, evaluations = _descent(problem, is_log)
+    starts = theta0 + _lattice_offsets(theta0.size)
+    lattice, residual, jacobian, evaluations = _descent(problem, is_log)
     with np.errstate(all="ignore"):
+        theta = starts[int(np.argmin(lattice(starts)))]
         theta, point, iters, converged, jac = _lm_once(
             residual, jacobian, theta, residual(theta), tol, max_iter)
         rmse = math.sqrt(2.0 * _half_sq(point) / len(problem.series))  # inf stays inf

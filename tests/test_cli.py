@@ -647,6 +647,15 @@ class TestClassifyEarly:
         code = main(["classify-early", str(data), "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_negative_column_past_the_row_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("1,2\n3,4\n")
+        code = main(["classify-early", str(data), "--value-col", "-5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {data}, line 1: expected at least 5 columns, got 2\n")
+
 
 class TestConfigFile:
     def test_config_overrides_command_line(self, tmp_path, capsys):
@@ -675,6 +684,14 @@ class TestConfigFile:
                      "--config", str(tmp_path / "none.conf"),
                      "--out-dir", str(tmp_path)])
         assert code == 4
+
+    def test_undecodable_config_exit_4(self, tmp_path, capsys):
+        config = tmp_path / "latin1.conf"
+        config.write_bytes(b"points = 5 # \xff\n")
+        code = main(["simulate", "--model", "power", "--config", str(config),
+                     "--out-dir", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"i/o error: cannot read config {config}: ")
 
     def test_config_probe_built_once(self, tmp_path, capsys):
         cli._config_probe.cache_clear()

@@ -349,6 +349,13 @@ class TestReadCsvEquivalence:
         assert s.times.tolist() == [3.0, 7.0]
         assert s.values.tolist() == [1.0, 4.0]
 
+    def test_negative_column_past_the_row(self):
+        # -3 needs 3 columns, as 2 does
+        with pytest.raises(DataIOError) as info:
+            read_csv(io.StringIO("1,2\n3,4\n"), time_col=-3)
+        assert str(info.value) == \
+            "<stream>, line 1: expected at least 3 columns, got 2"
+
     def test_same_column_twice(self):
         s = read_csv(io.StringIO("1,x\n2,y\n"), time_col=0, value_col=0)
         assert s.values.tolist() == [1.0, 2.0]

@@ -38,22 +38,23 @@ def _jacobians(model, params, alpha, loss, t, one_sided=None):
     """
     problem = _problem(model, params, alpha, loss, t)
     is_log = fitting._theta_is_log(model)
-    residual, jacobian = fitting._residual_fn(problem, is_log)
+    _, residual, jacobian, _ = fitting._descent(problem, is_log)
     theta = fitting._to_theta(params, is_log)
-    analytic = jacobian(theta, residual(theta)[1])
-    numeric = np.empty_like(analytic)
-    for j in range(theta.size):
-        h = 1e-5 * (1.0 + abs(theta[j]))
-        shift = np.zeros_like(theta)
-        shift[j] = h
-        if one_sided is None:
-            numeric[:, j] = (residual(theta + shift)[0]
-                             - residual(theta - shift)[0]) / (2.0 * h)
-        else:
-            s = one_sided[j] * shift
-            numeric[:, j] = one_sided[j] * (
-                -3.0 * residual(theta)[0] + 4.0 * residual(theta + s)[0]
-                - residual(theta + 2.0 * s)[0]) / (2.0 * h)
+    with np.errstate(all="ignore"):
+        analytic = jacobian(theta, residual(theta)[1])
+        numeric = np.empty_like(analytic)
+        for j in range(theta.size):
+            h = 1e-5 * (1.0 + abs(theta[j]))
+            shift = np.zeros_like(theta)
+            shift[j] = h
+            if one_sided is None:
+                numeric[:, j] = (residual(theta + shift)[0]
+                                 - residual(theta - shift)[0]) / (2.0 * h)
+            else:
+                s = one_sided[j] * shift
+                numeric[:, j] = one_sided[j] * (
+                    -3.0 * residual(theta)[0] + 4.0 * residual(theta + s)[0]
+                    - residual(theta + 2.0 * s)[0]) / (2.0 * h)
     return analytic, numeric
 
 
@@ -138,9 +139,12 @@ class TestEvaluationCount:
         evaluate = fitting._closed_form_parts
         monkeypatch.setattr(fitting, "_closed_form_parts",
                             lambda *args: log.append("E") or evaluate(*args))
-        costs = fitting._lattice_costs
-        monkeypatch.setattr(fitting, "_lattice_costs",
-                            lambda *args: log.append("L") or costs(*args))
+        descent = fitting._descent
+
+        def spied_descent(*args):
+            lattice, *rest = descent(*args)
+            return (lambda thetas: log.append("L") or lattice(thetas), *rest)
+        monkeypatch.setattr(fitting, "_descent", spied_descent)
         result = fit(problem)
         steps = "".join(log[2:])
         assert result.converged
@@ -169,20 +173,21 @@ class TestEvaluationCount:
 
 
 def _lattice_costs_both_ways(model, truth, guess, alpha, loss, t):
-    """The start lattice's costs from the one broadcast pass and from the
-    scalar residual, point by point.  The data are the truth 0.1 later with
+    """The start lattice's costs from _descent's broadcast lattice and from
+    its scalar residual, point by point.  The data are the truth 0.1 later with
     1% noise, so they are positive even where the fit's times start at 0."""
     y = models.evaluate(models.make_record(model, truth, alpha), t + 0.1)
     y = y * (1.0 + 0.01 * np.random.default_rng(11).standard_normal(t.size))
     problem = FitProblem(TimeSeries(t, y, kind=KIND_GENERIC), model, guess,
                          loss_space=loss, alpha=alpha)
     is_log = fitting._theta_is_log(model)
-    residual, _ = fitting._residual_fn(problem, is_log)
+    lattice, residual, _, _ = fitting._descent(problem, is_log)
     theta0 = fitting._to_theta(problem.initial_guess, is_log)
     thetas = theta0 + fitting._LATTICE_STEP * np.array(
         list(itertools.product((0.0, -1.0, 1.0), repeat=theta0.size)))
-    scalar = np.array([fitting._cost(residual(theta)) for theta in thetas])
-    return fitting._lattice_costs(problem, is_log, thetas), scalar
+    with np.errstate(all="ignore"):
+        scalar = np.array([fitting._half_sq(residual(theta)) for theta in thetas])
+        return lattice(thetas), scalar
 
 
 def _assert_same_costs(batched, scalar):
@@ -569,6 +574,47 @@ class TestDescentAgainstReference:
             for tol in (trace[0], math.nextafter(trace[0], 0.0)):
                 ref = _reference_lm_once(residual, jacobian, start, residual(start), tol, 3)
                 new = fitting._lm_once(residual, jacobian, start, residual(start), tol, 3)
+                assert (new[2], new[3]) == (ref[2], ref[3])
+                np.testing.assert_array_equal(new[0], ref[0])
+
+    def test_stop_on_the_predicted_reduction_edge(self):
+        # r(theta) = (k M (theta - c), b) with J = (M, 0) and k < 1: the
+        # linearized reduction outruns the actual one, and the constant b
+        # keeps both near tol**2 of the cost while the step stays far above
+        # tol, so the first stop hangs on the predicted reduction alone.  tol
+        # on the edge (the least that stops there) and one float below it.
+        rng = np.random.default_rng(55)
+        for _ in range(100):
+            n = int(rng.integers(2, 4))
+            m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            k = float(rng.uniform(0.2, 0.8))
+            c = rng.standard_normal(n)
+            b = rng.standard_normal(4) * float(np.exp(rng.uniform(4.0, 9.0)))
+            start = c + rng.standard_normal(n)
+            jac = np.vstack((m, np.zeros((b.size, n))))
+
+            def residual(theta):
+                return np.concatenate((k * (m @ (theta - c)), b)), None
+
+            def jacobian(theta, _):
+                return jac
+
+            def stops(tol):
+                return _reference_lm_once(residual, jacobian, start, residual(start),
+                                          tol, 1)[3]
+
+            lo, hi = (int(np.float64(v).view(np.int64)) for v in (1e-12, 1.0))
+            while hi - lo > 1:  # stops(lo) is False and stops(hi) True
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if stops(float(np.int64(mid).view(np.float64))) else (mid, hi)
+            edge = float(np.int64(hi).view(np.float64))
+            trace = []
+            _reference_lm_once(residual, jacobian, start, residual(start), 1e-300, 1, trace)
+            assert edge < trace[0]  # the step-size stop stays out of reach
+            for tol, on_edge in ((edge, True), (math.nextafter(edge, 0.0), False)):
+                ref = _reference_lm_once(residual, jacobian, start, residual(start), tol, 3)
+                new = fitting._lm_once(residual, jacobian, start, residual(start), tol, 3)
+                assert (ref[2] == 1) is on_edge
                 assert (new[2], new[3]) == (ref[2], ref[3])
                 np.testing.assert_array_equal(new[0], ref[0])
 

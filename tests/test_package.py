@@ -140,6 +140,34 @@ def test_numpy_is_the_only_runtime_dependency():
     assert foreign == []
 
 
+
+def _private_helpers(src):
+    """(module file, name) of every module-level private function or class in
+    src, and whether code elsewhere in src names it: as a name, an attribute
+    or an import.  Docstrings and a helper's own body do not count."""
+    defs, named = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            names |= {n.name for n in ast.walk(node) if isinstance(n, ast.alias)}
+            own = getattr(node, "name", None)
+            named.append((own, names))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_")
+                    and not own.startswith("__")):
+                defs.append((path.name, own))
+    return [(where, name, any(name in names for own, names in named if own != name))
+            for where, name in defs]
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only tests call is a second copy of the behaviour the
+    # package runs; the tests should drive the one the package uses
+    helpers = _private_helpers(pathlib.Path(growthdyn.__file__).parent)
+    assert len(helpers) >= 40
+    assert [f"{where}: {name}" for where, name, used in helpers if not used] == []
+
+
 # A valid build of every public record that takes numbers as input.
 RECORDS = {
     "PowerLawParams": {"a": 2.0, "beta": 0.5},
