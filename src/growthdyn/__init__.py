@@ -33,9 +33,8 @@ from .fitting import (EXPONENTIAL, INDETERMINATE, LOGISTIC_FAMILY, LOSS_LINEAR,
                       ClassifierVerdict, FitProblem, FitResult, OnsetEstimate,
                       early_growth_classifier, fit, saturation_onset)
 from .models import (GeneralizedLogisticParams, PowerLawParams,
-                     SaturatingLinearParams, early_time_approx,
-                     eval_logistic_family, eval_power_law,
-                     eval_saturating_linear, terminal_value)
+                     SaturatingLinearParams, eval_logistic_family,
+                     eval_power_law, eval_saturating_linear, terminal_value)
 from .ode import (AutonomousSystem, Trajectory, integrate_adaptive,
                   integrate_fixed, interp_states)
 

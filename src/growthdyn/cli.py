@@ -44,10 +44,6 @@ from .ode import integrate_adaptive, interp_states
 OUT_DIR_ENV = "GROWTHDYN_OUT"
 _SCHEMA = 1
 
-MODEL_POWER = "power"
-MODEL_SATURATING = "saturating"
-MODEL_LOGISTIC = "logistic"
-
 _GRID_AUTO = "auto"
 _GRID_LINEAR = "linear"
 _GRID_LOG = "log"
@@ -140,11 +136,8 @@ def _time_grid(args) -> np.ndarray:
     return grid(t_min, t_max, args.points)
 
 
-_CLI_TO_FIT_MODEL = {
-    MODEL_POWER: fitting.POWER_LAW,
-    MODEL_SATURATING: fitting.SATURATING_LINEAR,
-    MODEL_LOGISTIC: fitting.LOGISTIC_FAMILY,
-}
+# --model name -> family: the first word of the family's name
+_FAMILY = {family.split("-")[0]: family for family in models.FAMILIES}
 
 
 # ---------------------------------------------------------------- simulate
@@ -164,7 +157,7 @@ def _simulate_combos(args, family):
 
 
 def cmd_simulate(args):
-    family = _CLI_TO_FIT_MODEL[args.model]
+    family = _FAMILY[args.model]
     times = _time_grid(args)
     curves = []
     summary = []
@@ -211,7 +204,7 @@ def cmd_fit(args):
     # Fail on incompatible log axes before any fitting work happens.
     dataio.check_log_axes(series.label or "data", series.times, series.values,
                           args.axes)
-    model = _CLI_TO_FIT_MODEL[args.model]
+    model = _FAMILY[args.model]
     guess = tuple(args.guess) if args.guess else _default_guess(model, series)
     problem = fitting.FitProblem(series=series, model=model,
                                  initial_guess=guess, loss_space=args.loss,
@@ -282,6 +275,9 @@ def cmd_pde(args):
     # log axis before marching.
     dataio.check_log_axes(f"abs_phi_x={_fmt(args.probe_x[0])}", np.zeros(1),
                           np.array([setup.phi0]), args.axes)
+    grid = setup.cell_centers()  # probe_series' rule on the march's grid, before it
+    for x_probe in args.probe_x:
+        fields._check_probe(grid, x_probe)
     # geomspace ends on t_end for n >= 2; for n = 0 or 1 t_end is appended.
     snap_times = np.concatenate(
         ([0.0], np.geomspace(args.t_end * 1e-5, args.t_end, args.n_snapshots)[:-1],
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sub("simulate", cmd_simulate, help="evaluate growth curves on a grid")
-    p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
+    p.add_argument("--model", required=True, choices=list(_FAMILY))
     for field, kind in {name: kind for family in models.FAMILIES.values()
                         for name, _, kind, _ in _number_fields(family)}.items():
         p.add_argument("--" + field, type=_numbers(kind, many=True), default=[kind(1)])
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("fit", cmd_fit, dataio.read_csv, fitting.FitProblem, fitting.fit,
             help="fit a growth model to a CSV series")
     _add_input_flags(p)
-    p.add_argument("--model", required=True, choices=list(_CLI_TO_FIT_MODEL))
+    p.add_argument("--model", required=True, choices=list(_FAMILY))
     p.add_argument("--loss", default=fitting.LOSS_LINEAR,
                    choices=[fitting.LOSS_LINEAR, fitting.LOSS_LOG])
     p.add_argument("--guess", type=_numbers(many=True), default=None,

@@ -225,10 +225,10 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     of non-positive values plus a negative source.  So the upwind neighbour
     is always the right (large-x) one, and the only boundary the march reads
     is the inflow ghost past x_max.  That ghost holds the local terminal
-    level -sqrt(phi0**2 + 2/x_ghost): characteristics enter from the outer
-    boundary, and a parcel admitted at the initial level instead of the
-    terminal one carries too little energy ever to reach the interior
-    asymptote sqrt(phi0**2 + 2/x) — holding the inflow at the initial level
+    level, minus euler_terminal_profile at x_ghost: characteristics enter
+    from the outer boundary, and a parcel admitted at the initial level
+    instead of the terminal one carries too little energy ever to reach the
+    interior terminal profile — holding the inflow at the initial level
     undershoots the x = 50 terminal magnitude by ~13% on the default domain.
 
     A step allocates nothing.  Two padded buffers (the field, then the inflow
@@ -272,7 +272,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     # every step: phi (ahead: shifted one cell toward x_max) views the
     # current one, new the next one, and work holds every intermediate.
     cur = np.full(setup.n_cells + 1, -setup.phi0)
-    cur[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
+    cur[-1] = -euler_terminal_profile(setup, setup.x_max + 0.5 * dx)
     nxt = cur.copy()
     phi, ahead, new, new_ahead = cur[:-1], cur[1:], nxt[:-1], nxt[1:]
     work = np.empty(setup.n_cells)
@@ -335,11 +335,15 @@ def probe_series(snapshots, x_probe: float):
     times = np.array([snap.t for snap in snapshots])
     values = np.empty(times.size)
     for i, snap in enumerate(snapshots):
-        if not snap.x_grid[0] <= x_probe <= snap.x_grid[-1]:
-            raise DomainError(
-                f"probe x={x_probe} outside grid [{snap.x_grid[0]}, {snap.x_grid[-1]}]")
+        _check_probe(snap.x_grid, x_probe)
         values[i] = np.interp(x_probe, snap.x_grid, snap.phi)
     return times, values
+
+
+def _check_probe(x_grid, x_probe):
+    """DomainError unless x_probe lies on the span of x_grid."""
+    if not x_grid[0] <= x_probe <= x_grid[-1]:
+        raise DomainError(f"probe x={x_probe} outside grid [{x_grid[0]}, {x_grid[-1]}]")
 
 
 def characteristic_particle_system() -> AutonomousSystem:

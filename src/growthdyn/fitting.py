@@ -337,8 +337,11 @@ def fit(problem: FitProblem, tol: float = 1e-10, max_iter: int = 200) -> FitResu
         evaluations=evaluations(),
     )
     if not result.converged:
+        # the stop that ended the descent (damping out on the last iteration used the budget)
         why = (": no lattice point could be evaluated" if iters == 0 else
                ": it ended on a singular Jacobian" if converged else
+               f": its Jacobian was not finite at iteration {iters}" if jac is None else
+               f": the damping ran out at iteration {iters}" if iters < max_iter else
                f" within {max_iter} iterations")
         raise NonConvergenceError(f"fit did not converge{why} (rmse {rmse:.3e})",
                                   best=result)

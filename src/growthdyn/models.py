@@ -276,15 +276,3 @@ def terminal_value(params):
     else:
         raise ParameterError(f"no terminal value defined for {type(params).__name__}")
     return _in_range(params, level, True)
-
-
-def early_time_approx(params: SaturatingLinearParams, t):
-    """Small-t linear regime of the saturating law: phi ~ a*t.
-
-    The full curve satisfies |eval_saturating_linear - a*t| <= (a*b/2)*t**2
-    for every t >= 0, so the approximation is good while b*t stays small.
-    """
-    arr, scalar = _as_times(t)
-    with np.errstate(all="ignore"):
-        out = params.a * arr
-    return _in_range(params, out, scalar)

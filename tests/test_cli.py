@@ -364,6 +364,21 @@ class TestFit:
         assert "singular Jacobian" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_refused_jacobian_names_its_stop(self, tmp_path, capsys):
+        # a start near the float64 ceiling evaluates, but its Jacobian does
+        # not: the descent stops at iteration 1, not on its 200-step budget
+        t = np.linspace(0.0, 1e4, 20)
+        data = tmp_path / "step.csv"
+        data.write_text("".join(f"{float(ti)!r},{1.0 if i == 0 else 10.0!r}\n"
+                                for i, ti in enumerate(t)))
+        code = main(["fit", str(data), "--model", "logistic", "--loss", "log",
+                     "--guess", "1e305,1e304,1", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: fit did not converge: its Jacobian was not finite "
+            "at iteration 1 (rmse 9.523e-15)\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("points", ["1", "0"])
     def test_points_checked_before_fitting(self, tmp_path, capsys, monkeypatch, points):
         def never(*args, **kwargs):
@@ -619,6 +634,29 @@ class TestPde:
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("probes", ["250", "10,250", "0.5"])
+    def test_probe_off_the_grid_rejected_before_marching(
+            self, tmp_path, capsys, monkeypatch, probes):
+        # probe_series' rule and message, on the grid the march would use
+        def never(*args, **kwargs):
+            raise AssertionError("marched despite a probe off the grid")
+        monkeypatch.setattr(cli.fields, "evolve_advection_fd", never)
+        code = main(["pde", "--n-cells", "8192", "--probe-x", probes,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        x_probe = float(probes.split(",")[-1])
+        assert capsys.readouterr().err == (
+            f"error: probe x={x_probe} outside grid "
+            "[1.01214599609375, 199.98785400390625]\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_probe_on_the_outer_cell_centres_is_valid(self, tmp_path, capsys):
+        grid = cli.fields.AdvectionSetup(x_max=20.0, n_cells=32).cell_centers()
+        probes = f"{float(grid[0])!r},{float(grid[-1])!r}"
+        code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "5",
+                     "--n-snapshots", "3", "--probe-x", probes, "--out-dir", str(tmp_path)])
+        assert code == 0
 
     def test_log_y_allowed_with_positive_start(self, tmp_path, capsys):
         code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "50",

@@ -486,6 +486,8 @@ def _reference_fit(problem, tol, max_iter):
     if not result.converged:
         why = (": no lattice point could be evaluated" if iters == 0 else
                ": it ended on a singular Jacobian" if converged else
+               f": its Jacobian was not finite at iteration {iters}" if jac is None else
+               f": the damping ran out at iteration {iters}" if iters < max_iter else
                f" within {max_iter} iterations")
         raise NonConvergenceError(f"fit did not converge{why} (rmse {rmse:.3e})",
                                   best=result)
@@ -544,13 +546,25 @@ class TestDescentAgainstReference:
             assert _outcome(fit, problem, tol, max_iter) == ref, problem
             kinds[problem.model, problem.loss_space] += 1
             kinds[ref.split("(")[0].split(":")[0]] += 1
-            kinds.update(why for why in ("singular Jacobian", "iterations") if why in ref)
-        # every family in both losses, and fits that fail for either reason
+            kinds.update(why for why in ("singular Jacobian", "damping ran out",
+                                         "iterations") if why in ref)
+        # every family in both losses, and fits that fail for each reason
         assert all(kinds[m, loss] >= 20 for m in (POWER_LAW, SATURATING_LINEAR,
                                                     LOGISTIC_FAMILY)
                    for loss in (LOSS_LINEAR, LOSS_LOG)), kinds
         assert kinds["FitResult"] >= 100 and kinds["NonConvergenceError"] >= 30, kinds
         assert kinds["singular Jacobian"] >= 1 and kinds["iterations"] >= 30, kinds
+        assert kinds["damping ran out"] >= 1, kinds
+
+    def test_damping_stop_is_named(self):
+        # seeded problem 153 above: the damping runs out at iteration 3 of 40
+        rng = np.random.default_rng(1)
+        for _ in range(154):
+            problem, tol, max_iter = _seeded_problem(rng)
+        with pytest.raises(NonConvergenceError, match=r"^fit did not converge: the "
+                           r"damping ran out at iteration 3 \(rmse") as info:
+            fit(problem, tol, max_iter)
+        assert (info.value.best.iterations, max_iter) == (3, 40)
 
     def test_stop_on_the_knife_edge(self):
         # r(theta) = theta - c, J = I: after the first damped step the gradient

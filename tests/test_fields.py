@@ -310,15 +310,16 @@ class TestUpwindScheme:
 
     def test_march_checks_its_grid_once(self, monkeypatch):
         # the first of 41 snapshots checks the shared grid and its field; the
-        # rest take the grid and the march's finite fields as they are
+        # rest take the grid and the march's finite fields as they are.  The
+        # "x" before them is euler_terminal_profile's, for the inflow ghost.
         names = []
         check = fields.check_array
-        monkeypatch.setattr(fields, "check_array",
-                            lambda name, *args: names.append(name) or check(name, *args))
+        monkeypatch.setattr(fields, "check_array", lambda name, *args, **kwargs:
+                            names.append(name) or check(name, *args, **kwargs))
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
         snaps = evolve_advection_fd(setup, 20.0, np.linspace(0.0, 20.0, 41))
         assert len(snaps) == 41
-        assert names == ["x_grid", "phi"]
+        assert names == ["x", "x_grid", "phi"]
 
     def test_march_refuses_a_grid_below_the_resolution_of_x(self):
         # cells 1/16 wide near 1e15, where floats lie 1/8 apart

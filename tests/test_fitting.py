@@ -171,10 +171,27 @@ class TestFitFailureModes:
     def test_starved_iterations_report_best_attempt(self):
         t = np.linspace(0.2, 6.0, 40)
         problem = FitProblem(_series(t, 2.0 * t ** 0.7), POWER_LAW, (1.0, 0.1))
-        with pytest.raises(NonConvergenceError) as info:
+        with pytest.raises(NonConvergenceError, match=r"^fit did not converge "
+                           r"within 1 iterations \(rmse") as info:
             fit(problem, max_iter=1)
         assert isinstance(info.value.best, FitResult)
         assert not info.value.best.converged
+        assert info.value.best.iterations == 1
+
+    def test_refused_jacobian_names_its_stop(self):
+        # the best lattice point, near the float64 ceiling, evaluates but its
+        # Jacobian is not finite: the descent stops there, not on its budget
+        t = np.linspace(0.0, 1e4, 20)
+        series = _series(t, np.r_[1.0, np.full(19, 10.0)])
+        problem = FitProblem(series, LOGISTIC_FAMILY, (1e305, 1e304, 1.0),
+                             loss_space=LOSS_LOG)
+        with pytest.raises(NonConvergenceError, match=r"^fit did not converge: its "
+                           r"Jacobian was not finite at iteration 1 \(rmse") as info:
+            fit(problem)
+        best = info.value.best
+        assert (best.iterations, best.converged) == (1, False)
+        assert best.jacobian_condition == math.inf
+        assert math.isfinite(best.rmse)
 
     def test_guess_outside_growth_regime_stays_nonconvergence(self):
         # a < b*phi0**alpha at every start: no start can be evaluated, and the

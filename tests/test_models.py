@@ -13,7 +13,7 @@ import pytest
 
 from growthdyn import models
 from growthdyn import (DomainError, GeneralizedLogisticParams, ParameterError,
-                       PowerLawParams, SaturatingLinearParams, early_time_approx,
+                       PowerLawParams, SaturatingLinearParams,
                        eval_logistic_family, eval_power_law,
                        eval_saturating_linear, terminal_value)
 from growthdyn.ode import AutonomousSystem, integrate_fixed
@@ -317,24 +317,18 @@ class TestCurveProperties:
 
 
 class TestEarlyTimeApprox:
+    """The saturating curve starts as its linear regime a*t, within the
+    Taylor remainder (a*b/2)*t**2."""
+
     def test_reference_error(self):
         p = SaturatingLinearParams(a=1, b=1)
-        approx = early_time_approx(p, 0.01)
         exact = eval_saturating_linear(p, 0.01)
-        assert approx == 0.01
         assert exact == pytest.approx(0.009950166250831947, rel=1e-12)
-        assert abs(approx - exact) < 5e-5
-
-    def test_zero_case(self):
-        assert early_time_approx(SaturatingLinearParams(a=3, b=2), 0.0) == 0.0
-
-    def test_value_outside_float64_raises(self):
-        with pytest.raises(DomainError):
-            early_time_approx(SaturatingLinearParams(a=1e300, b=1), np.array([1.0, 1e10]))
+        assert abs(p.a * 0.01 - exact) < 5e-5
 
     def test_small_t_difference(self):
         p = SaturatingLinearParams(a=1, b=3)
-        diff = abs(early_time_approx(p, 0.001) - eval_saturating_linear(p, 0.001))
+        diff = abs(p.a * 0.001 - eval_saturating_linear(p, 0.001))
         assert diff < 1.5e-6
 
     @pytest.mark.parametrize("seed", range(5))
@@ -343,7 +337,7 @@ class TestEarlyTimeApprox:
         a, b = rng.uniform(0.2, 4.0, 2)
         p = SaturatingLinearParams(a=a, b=b)
         t = np.linspace(0.0, 3.0 / b, 200)
-        gap = np.abs(eval_saturating_linear(p, t) - early_time_approx(p, t))
+        gap = np.abs(eval_saturating_linear(p, t) - p.a * t)
         bound = (a * b / 2.0) * t ** 2
         assert np.all(gap <= bound * (1 + 1e-9) + 1e-15)
 
@@ -385,7 +379,6 @@ class TestTerminalLevel:
     (eval_power_law, PowerLawParams(a=1, beta=1)),
     (eval_saturating_linear, SaturatingLinearParams(a=1, b=1)),
     (eval_logistic_family, GeneralizedLogisticParams(a=5, b=1, alpha=1, phi0=1)),
-    (early_time_approx, SaturatingLinearParams(a=1, b=1)),
 ])
 def test_nan_time_fails_the_sign_check(evaluate, params):
     # named as a time outside t >= 0, not as a value leaving float64 range
