@@ -177,8 +177,7 @@ def cmd_simulate(args):
 # --------------------------------------------------------------------- fit
 
 def _load_series(args) -> dataio.TimeSeries:
-    series = dataio.read_csv(args.input, time_col=args.time_col,
-                             value_col=args.value_col, label=args.label)
+    series = dataio.read_csv(args.input, time_col=args.time_col, value_col=args.value_col)
     if args.accumulation_start is not None:
         keep = series.times >= args.accumulation_start
         if not keep.any():
@@ -202,8 +201,7 @@ def cmd_fit(args):
         raise ValidationError(f"--points must be >= 2, got {args.points}")
     series = _load_series(args)
     # Fail on incompatible log axes before any fitting work happens.
-    dataio.check_log_axes(series.label or "data", series.times, series.values,
-                          args.axes)
+    dataio.check_log_axes(args.label or "data", series.times, series.values, args.axes)
     model = _FAMILY[args.model]
     guess = tuple(args.guess) if args.guess else _default_guess(model, series)
     problem = fitting.FitProblem(series=series, model=model,
@@ -213,7 +211,7 @@ def cmd_fit(args):
     dense_t = np.linspace(float(series.times[0]), float(series.times[-1]),
                           args.points)
     record = models.make_record(model, result.params, result.alpha)
-    curves = [(series.label or "data", series.times, series.values),
+    curves = [(args.label or "data", series.times, series.values),
               ("fitted", dense_t, models.evaluate(record, dense_t))]
     onset = None
     if result.terminal_forecast is not None:  # none for unbounded models
@@ -259,8 +257,8 @@ def cmd_compete(args):
         "params": params,
         **dataclasses.asdict(verdict),
         "t_end": t_end,
-        "final_state": {"phi1": float(states[-1, 0]),
-                        "phi2": float(states[-1, 1])},
+        "final_state": {"phi1": float(traj.states[-1, 0]),  # at t_end, whatever the grid
+                        "phi2": float(traj.states[-1, 1])},
     }
 
 
@@ -331,17 +329,18 @@ def cmd_classify_early(args):
 
 # ----------------------------------------------------------------- parsing
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, tables: bool):
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     parser.add_argument("--prefix", default=None,
                         help="output filename prefix (default: subcommand name)")
-    parser.add_argument("--axes", default=dataio.AXES_LINEAR,
-                        choices=[dataio.AXES_LINEAR, dataio.AXES_LOG_X,
-                                 dataio.AXES_LOG_Y, dataio.AXES_LOG_LOG],
-                        help="axis transform applied to emitted plot data")
-    parser.add_argument("--plot-format", default=dataio.FORMAT_CSV,
-                        choices=[dataio.FORMAT_CSV, dataio.FORMAT_JSON])
+    if tables:  # a subcommand that writes no table reads neither flag
+        parser.add_argument("--axes", default=dataio.AXES_LINEAR,
+                            choices=[dataio.AXES_LINEAR, dataio.AXES_LOG_X,
+                                     dataio.AXES_LOG_Y, dataio.AXES_LOG_LOG],
+                            help="axis transform applied to emitted plot data")
+        parser.add_argument("--plot-format", default=dataio.FORMAT_CSV,
+                            choices=[dataio.FORMAT_CSV, dataio.FORMAT_JSON])
     parser.add_argument("--config", default=None,
                         help="key=value file whose entries override flags")
 
@@ -353,7 +352,6 @@ def _record(record, args):
 
 def _add_input_flags(parser: argparse.ArgumentParser):
     parser.add_argument("input", help="CSV file with time,value rows")
-    parser.add_argument("--label", default="data")
     parser.add_argument("--cumulative", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="apply the running-sum transform before using the series")
@@ -373,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "field evolution.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def sub(name, func, *sources, **kwargs):
-        # The common flags, then one flag per float or int parameter of each
-        # source (a record class or a function), typed and defaulted by it
-        # (required where it has no default).
+    def sub(name, func, *sources, tables=True, **kwargs):
+        # The common flags (--axes and --plot-format only if it writes tables),
+        # then one flag per float or int parameter of each source (a record class
+        # or a function), typed and defaulted by it (required where it has none).
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
-        _add_common(p)
+        _add_common(p, tables)
         p.set_defaults(func=func)
         for source in sources:
             for field, _, kind, default in _number_fields(source):
@@ -400,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("fit", cmd_fit, dataio.read_csv, fitting.FitProblem, fitting.fit,
             help="fit a growth model to a CSV series")
+    p.add_argument("--label", default="data")  # the data curve's name
     _add_input_flags(p)
     p.add_argument("--model", required=True, choices=list(_FAMILY))
     p.add_argument("--loss", default=fitting.LOSS_LINEAR,
@@ -409,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_numbers(int), default=200,
                    help="grid size for the fitted overlay curve")
 
-    p = sub("analyze", cmd_analyze, dynsys.stability_report, help="fixed-point stability report")
+    p = sub("analyze", cmd_analyze, dynsys.stability_report, tables=False,
+            help="fixed-point stability report")
     p.add_argument("--rates", type=_numbers(many=6),
                    default=[rate for *_, rate in _number_fields(dynsys.coupled_logistic_demo)],
                    help="aR,bR,eRS,aS,bS,eSR for the demo system")
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-snapshots", type=_numbers(int, ">="), default=200)
 
     p = sub("classify-early", cmd_classify_early, dataio.read_csv,
-            fitting.early_growth_classifier,
+            fitting.early_growth_classifier, tables=False,
             help="exponential-vs-power-law verdict on a CSV series")
     _add_input_flags(p)
     return parser

@@ -116,14 +116,13 @@ def _read_stream(fh, origin, time_col, value_col, label, kind):
     start = fh.tell()
     # the columns a row needs, counted from its end for a negative index
     width = max(time_col, value_col, -1 - min(time_col, value_col)) + 1
-    if min(time_col, value_col) >= 0:  # negative indices: the row pass only
-        try:
-            return TimeSeries(*_load_columns(fh, start, width, time_col, value_col),
-                              label=label, kind=kind)
-        except UnicodeDecodeError:
-            raise  # unreadable, not malformed: no row pass can name a line
-        except (ValueError, OverflowError, ValidationError, csv.Error):
-            fh.seek(start)  # the row pass gives the verdict and its line number
+    try:
+        return TimeSeries(*_load_columns(fh, start, width, time_col, value_col),
+                          label=label, kind=kind)
+    except UnicodeDecodeError:
+        raise  # unreadable, not malformed: no row pass can name a line
+    except (ValueError, OverflowError, ValidationError, csv.Error):
+        fh.seek(start)  # the row pass gives the verdict and its line number
     return _read_rows(fh, origin, width, time_col, value_col, label, kind)
 
 

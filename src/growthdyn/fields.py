@@ -327,8 +327,10 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
 def probe_series(snapshots, x_probe: float):
     """Signed field at a fixed position across snapshots (linear in x).
 
-    Returns (times, values) arrays; handy for terminal-approach plots.
+    snapshots is any iterable of FieldSnapshot records, read once.  Returns
+    (times, values) arrays; handy for terminal-approach plots.
     """
+    snapshots = list(snapshots) if hasattr(snapshots, "__iter__") else []
     if not (snapshots and all(isinstance(snap, FieldSnapshot) for snap in snapshots)):
         raise ValidationError("no snapshots to probe: need a list of FieldSnapshot records")
     x_probe = check_number("x_probe", x_probe)

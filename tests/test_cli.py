@@ -284,6 +284,16 @@ class TestSimulate:
 
 
 class TestFit:
+    @pytest.mark.parametrize("argv, name", [([], "data"), (["--label", "IBM"], "IBM"),
+                                            (["--label", ""], "data")])
+    def test_label_names_the_data_curve(self, tmp_path, capsys, argv, name):
+        data = tmp_path / "power.csv"
+        _write_power_csv(data)
+        assert main(["fit", str(data), "--model", "power", "--points", "5", *argv,
+                     "--out-dir", str(tmp_path)]) == 0
+        header, _ = _read_table(capsys.readouterr().out.splitlines()[0])
+        assert header == ["t0", name, "t1", "fitted"]
+
     def test_negative_alpha_reports_the_records_rule(self, tmp_path, capsys):
         data = tmp_path / "power.csv"
         _write_power_csv(data)
@@ -516,6 +526,18 @@ class TestCompete:
         assert code == 0
         _, rows = _read_table(capsys.readouterr().out.splitlines()[0])
         assert len(rows) == 1
+
+    def test_final_state_is_the_integrated_end_whatever_the_grid(self, tmp_path, capsys):
+        # a one-point grid holds only the initial state, (1, 1)
+        final = {}
+        for points in ("1", "501"):
+            assert main(["compete", *_RATES, "--points", points,
+                         "--out-dir", str(tmp_path / points)]) == 0
+            report = _read_report(capsys.readouterr().out.splitlines()[-1])
+            final[points] = report["final_state"]
+        assert final["1"] == final["501"]
+        assert final["1"]["phi1"] == pytest.approx(2.0, rel=1e-9)
+        assert final["1"]["phi2"] < 1e-12
 
     @pytest.mark.parametrize("axes", ["log-x", "log-log"])
     def test_log_x_rejected_before_integrating(self, tmp_path, capsys,
@@ -790,6 +812,63 @@ class TestParsing:
 
 
 _RATES = ["--a1", "2", "--a2", "1", "--d1", "1", "--d2", "1", "--b", "1", "--c", "1"]
+
+
+class TestTableFlags:
+    """--axes and --plot-format shape tables, and --label names fit's data
+    curve: a subcommand that writes no table, or no data curve, has no such flag."""
+
+    @pytest.mark.parametrize("config", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--axes", "log-log"],
+        ["analyze", "--plot-format", "json"],
+        ["classify-early", "{data}", "--axes", "log-y"],
+        ["classify-early", "{data}", "--plot-format", "json"],
+        ["classify-early", "{data}", "--label", "x"],
+    ])
+    def test_flags_that_change_no_output_are_usage_errors(self, tmp_path, capsys,
+                                                          argv, config):
+        data = tmp_path / "data.csv"
+        _write_power_csv(data)
+        *argv, flag, value = [a.format(data=data) for a in argv]
+        if config:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", str(conf)]
+        else:
+            argv += [flag, value]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-dir", str(out)])
+        assert info.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_table_flags_exactly_where_a_table_is_written(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        _write_power_csv(data)
+        runs = {
+            "simulate": ["--model", "power", "--points", "5"],
+            "fit": [str(data), "--model", "power", "--points", "5"],
+            "analyze": [],
+            "compete": [*_RATES, "--points", "5"],
+            "pde": ["--x-max", "20", "--n-cells", "16", "--t-end", "5",
+                    "--n-snapshots", "3", "--probe-x", "10"],
+            "classify-early": [str(data)],
+        }
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(runs) == set(subcommands)
+        for name, argv in runs.items():
+            assert main([name, *argv, "--out-dir", str(tmp_path / name)]) == 0
+            report = _read_report(capsys.readouterr().out.splitlines()[-1])
+            writes_table = any(key.endswith("_file") for key in report)
+            flags = {flag for action in subcommands[name]._actions
+                     for flag in action.option_strings}
+            table_flags = {"--axes", "--plot-format"}
+            assert flags & table_flags == (table_flags if writes_table else set()), name
+            assert ("--label" in flags) is (name == "fit"), name
+
 
 # subcommand -> numeric flag -> (kind, sign, arity, default): arity 1 is one
 # value, "1+" one or more comma-separated values, n exactly n of them.

@@ -373,17 +373,7 @@ class TestReadCsvEquivalence:
             "9223372036854775809 columns, got 2"
 
     def test_30k_rows_bit_identical_to_float(self, tmp_path):
-        rng = np.random.default_rng(11)
-        n = 30_000
-        steps = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-3, 3, n)
-        times = [repr(t) for t in np.cumsum(steps).tolist()]
-        digits = rng.integers(0, 10, (n, 17))
-        values = ["".join(map(str, d[:1])) + "." + "".join(map(str, d[1:k]))
-                  + f"e{e:+d}"
-                  for d, k, e in zip(digits, rng.integers(2, 18, n),
-                                     rng.integers(-320, 308, n))]
-        plain = rng.uniform(0, 1e6, len(values[::7])).tolist()
-        values[::7] = [repr(v) for v in plain]
+        times, values = _wide_cells()
         path = tmp_path / "wide.csv"
         path.write_text("time,value\n" + "".join(
             f"{t},{v}\n" for t, v in zip(times, values)))
@@ -395,6 +385,40 @@ class TestReadCsvEquivalence:
                                       want_t.view(np.uint64))
         np.testing.assert_array_equal(s.values.view(np.uint64),
                                       want_v.view(np.uint64))
+
+    def test_negative_indices_take_the_loadtxt_pass(self, tmp_path, monkeypatch):
+        times, values = _wide_cells()
+        path = tmp_path / "wide3.csv"
+        path.write_text("id,time,value\n" + "".join(
+            f"{i},{t},{v}\n" for i, (t, v) in enumerate(zip(times, values))))
+        entered = []
+        row_pass = dataio._read_rows
+        monkeypatch.setattr(dataio, "_read_rows",
+                            lambda *args: entered.append(args) or row_pass(*args))
+        want = read_csv(path, time_col=1, value_col=2)
+        for cols in ((-2, -1), (1, -1), (-2, 2)):
+            got = read_csv(path, time_col=cols[0], value_col=cols[1])
+            np.testing.assert_array_equal(got.times.view(np.uint64),
+                                          want.times.view(np.uint64))
+            np.testing.assert_array_equal(got.values.view(np.uint64),
+                                          want.values.view(np.uint64))
+        assert entered == []
+
+
+def _wide_cells(n=30_000):
+    """n (time, value) cell pairs: times spread over six decades, values
+    with 1-17 significant digits and exponents down to the subnormals."""
+    rng = np.random.default_rng(11)
+    steps = rng.uniform(0.5, 1.5, n) * 10.0 ** rng.integers(-3, 3, n)
+    times = [repr(t) for t in np.cumsum(steps).tolist()]
+    digits = rng.integers(0, 10, (n, 17))
+    values = ["".join(map(str, d[:1])) + "." + "".join(map(str, d[1:k]))
+              + f"e{e:+d}"
+              for d, k, e in zip(digits, rng.integers(2, 18, n),
+                                 rng.integers(-320, 308, n))]
+    plain = rng.uniform(0, 1e6, len(values[::7])).tolist()
+    values[::7] = [repr(v) for v in plain]
+    return times, values
 
 
 class _ReadOnly:

@@ -337,6 +337,16 @@ class TestUpwindScheme:
         terminal = -math.sqrt(0.09 + 2.0 / 10.0)
         assert vals[-1] > terminal - 0.05    # without overshooting the limit
 
+    def test_probe_reads_an_iterator_once(self):
+        setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
+        snaps = evolve_advection_fd(setup, 20.0, [0.0, 10.0, 20.0])
+        want_t, want_v = probe_series(snaps, 10.0)
+        assert want_t.size == 3
+        for once in (iter(snaps), (snap for snap in snaps)):
+            got_t, got_v = probe_series(once, 10.0)
+            np.testing.assert_array_equal(got_t, want_t)
+            np.testing.assert_array_equal(got_v.view(np.uint64), want_v.view(np.uint64))
+
     def test_converges_to_characteristic_solution(self):
         # small domain run to ~100 * x_max**1.5: the late profile sits within
         # 1% of the analytic limit and halving dx shrinks the gap by >= 1.5x

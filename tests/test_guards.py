@@ -120,6 +120,14 @@ class TestFields:
         with pytest.raises(ValidationError, match="need a list of FieldSnapshot records"):
             probe_series([1, 2], 3.0)
 
+    @pytest.mark.parametrize("snapshots", [None, 0, 3, [1, 2], iter([1, 2])])
+    def test_probe_refuses_anything_but_snapshots_alike(self, snapshots):
+        # a non-iterable such as 3 used to raise a bare TypeError
+        with pytest.raises(ValidationError) as info:
+            probe_series(snapshots, 3.0)
+        assert str(info.value) == \
+            "no snapshots to probe: need a list of FieldSnapshot records"
+
     def test_snapshot_grid_is_not_empty(self):
         # probe_series on an empty snapshot used to raise a bare IndexError
         with pytest.raises(ValidationError, match="x_grid must be non-empty"):
