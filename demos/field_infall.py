@@ -40,7 +40,7 @@ except ImportError:
 
 fig, ax = plt.subplots(figsize=(6, 4))
 mask = times > 0
-ax.loglog(times[mask], magnitude[mask], label="upwind scheme")
+ax.loglog(times[mask], magnitude[mask], label="conservative upwind march")
 exact_curve = [euler_characteristic_phi(SETUP, PROBE_X, tk)
                for tk in times[mask]]
 ax.loglog(times[mask], exact_curve, "--", label="characteristic solution")

@@ -300,12 +300,11 @@ def cmd_pde(args):
         })
 
     last = snapshots[-1]
-    interior = slice(last.x_grid.size // 16, -1)  # skip the outflow edge
-    exact = fields.euler_terminal_profile(setup, last.x_grid[interior])
-    numeric = np.abs(last.phi[interior])
+    exact = fields.euler_terminal_profile(setup, last.x_grid)
+    numeric = np.abs(last.phi)
     rel = np.abs(numeric - exact) / exact
-    profile_curves = [("abs_phi_fd", last.x_grid[interior], numeric),
-                      ("terminal_profile", last.x_grid[interior], exact)]
+    profile_curves = [("abs_phi_fd", last.x_grid, numeric),
+                      ("terminal_profile", last.x_grid, exact)]
     return [("probe", probe_curves, args.axes),
             ("profile", profile_curves, dataio.AXES_LINEAR)], {
         "setup": setup,

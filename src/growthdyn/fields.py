@@ -10,10 +10,11 @@ advection equation with an attractive inverse-distance potential,
 
     dphi/dt + phi * dphi/dx = -1/x**2,
 
-solved two ways: exactly along characteristics through a scalar implicit
-relation, and numerically with a first-order upwind finite-difference march.
-Starting from a flat level the field magnitude at fixed x grows monotonically
-toward the terminal profile sqrt(phi0**2 + 2/x).
+which is the conservation law dphi/dt + d(phi**2/2 - 1/x)/dx = 0, solved two
+ways: exactly along characteristics through a scalar implicit relation, and
+numerically with a first-order upwind march of the conservation form.  From
+a flat level the field magnitude at fixed x grows monotonically toward its
+steady state phi**2 - 2/x = phi0**2, the terminal profile sqrt(phi0**2 + 2/x).
 
 Sign convention: the force -1/x**2 is negative, so the signed field evolves
 negative from a flat start, never turns positive, and transport runs toward
@@ -212,30 +213,27 @@ def euler_terminal_profile(setup: AdvectionSetup, x):
 
 def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                         snapshot_times) -> list:
-    """March the forced advection equation with first-order upwinding.
+    """March the forced advection equation in conservation form, upwinded.
 
-    The signed field starts flat at -phi0 and is transported toward small x
-    while the source -1/x**2 pumps it.  The time step obeys both the
-    advective CFL bound cfl*dx/max|phi| and an acceleration bound
-    cfl*sqrt(dx)*x_min (a cell starting from rest must not overshoot its
-    neighbour within one step).
+    The signed field starts flat at -phi0 and moves toward small x while the
+    force, folded into the flux G = phi**2 - 2/x, pumps it: a step is
+    new_i = phi_i - dt/(2*dx)*(G_{i+1} - G_i), with dt within both the CFL
+    bound cfl*dx/max|phi| and an acceleration bound cfl*sqrt(dx)*x_min (a
+    cell starting from rest must not overshoot its neighbour in one step).
 
-    The field never turns positive: with c = -dt*phi_i/dx in [0, cfl], each
-    step is (1 - c)*phi_i + c*phi_{i+1} + dt*source_i, a convex combination
-    of non-positive values plus a negative source.  So the upwind neighbour
-    is always the right (large-x) one, and the only boundary the march reads
-    is the inflow ghost past x_max.  That ghost holds the local terminal
-    level, minus euler_terminal_profile at x_ghost: characteristics enter
-    from the outer boundary, and a parcel admitted at the initial level
-    instead of the terminal one carries too little energy ever to reach the
-    interior terminal profile — holding the inflow at the initial level
-    undershoots the x = 50 terminal magnitude by ~13% on the default domain.
+    The field never turns positive: with c_i = -dt*(phi_i + phi_{i+1})/(2*dx)
+    in [0, cfl] (the ghost counts in max|phi|), a step is (1 - c_i)*phi_i +
+    c_i*phi_{i+1} + (dt/dx)*(1/x_{i+1} - 1/x_i), a convex combination of
+    non-positive values plus a negative term.  So the upwind neighbour is
+    always the right (large-x) one, and the only boundary the march reads is
+    the inflow ghost past x_max.  It holds the local terminal level, minus
+    euler_terminal_profile at x_ghost, and so fixes the conserved level
+    G = phi0**2 that the steady state carries inward to every cell.
 
-    A step allocates nothing.  Two padded buffers (the field, then the inflow
-    ghost) trade roles as the current and the next field, and the update
-    phi + dt*(source - phi*((phi_ahead - phi)/dx)) runs as six ufuncs, in
-    that expression's order, through one work array.  One abs-max pass over
-    the next field then serves twice: max|phi| is the next step's CFL speed,
+    A step allocates nothing.  Two padded buffers (the field, then the
+    ghost) trade roles as the current and the next field, and the update is
+    five ufuncs through one padded flux array.  One abs-max pass over the
+    next padded field then serves twice: max|phi| is the next step's speed,
     and since NaN and inf propagate through abs and max, a non-finite max is
     the finiteness check.
 
@@ -259,7 +257,8 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     dx = setup.dx
     x = setup.cell_centers()
     x.flags.writeable = False
-    source = -1.0 / (x * x)
+    x_ghost = setup.x_max + 0.5 * dx
+    two_over_x = 2.0 / np.append(x, x_ghost)  # over the padded grid
     dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
     # max|phi| >= phi0 throughout (the field deepens), so no step exceeds dt_max.
     dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, _VEL_FLOOR))
@@ -268,15 +267,17 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
             f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
             f"most {dt_max:.4g}, over the budget of {_MAX_STEPS} steps")
 
-    # Two buffers, each the field followed by the inflow ghost, trade roles
-    # every step: phi (ahead: shifted one cell toward x_max) views the
-    # current one, new the next one, and work holds every intermediate.
+    # phi and new view the field part of cur and nxt; flux holds G, then |nxt|.
     cur = np.full(setup.n_cells + 1, -setup.phi0)
-    cur[-1] = -euler_terminal_profile(setup, setup.x_max + 0.5 * dx)
+    cur[-1] = -euler_terminal_profile(setup, x_ghost)
     nxt = cur.copy()
-    phi, ahead, new, new_ahead = cur[:-1], cur[1:], nxt[:-1], nxt[1:]
-    work = np.empty(setup.n_cells)
-    speed = setup.phi0  # max|phi| of the flat start
+    phi, new = cur[:-1], nxt[:-1]
+    flux, ratio = np.empty(setup.n_cells + 1), np.empty(())  # ratio: dt/(2*dx)
+    g_ahead, g_here = flux[1:], flux[:-1]
+    square, subtract, multiply, absolute = np.square, np.subtract, np.multiply, np.absolute
+    max_reduce, isfinite = np.maximum.reduce, math.isfinite
+    cfl_dx, two_dx = setup.cfl * dx, 2.0 * dx
+    speed = float(max_reduce(absolute(cur)))  # the flat start or the ghost
     t = 0.0
     snapshots = []
 
@@ -298,17 +299,17 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                     f"march used its budget of {_MAX_STEPS} steps at t={t!r} of {t_end!r}")
             n_steps += 1
             # speed*dt <= cfl*dx < dx, so the step never breaks the CFL bound.
-            dt = min(setup.cfl * dx / max(speed, _VEL_FLOOR), dt_accel, t_end - t)
-            # new = phi + dt*(source - phi*((ahead - phi)/dx)), one ufunc at a time
-            np.subtract(ahead, phi, out=work)
-            np.divide(work, dx, out=work)
-            np.multiply(phi, work, out=work)
-            np.subtract(source, work, out=work)
-            np.multiply(work, dt, out=work)
-            np.add(phi, work, out=new)
-            # max|new| is the next step's speed; NaN and inf propagate into it.
-            speed = float(np.maximum.reduce(np.absolute(new, out=work)))
-            if not math.isfinite(speed):
+            dt = min(cfl_dx / max(speed, _VEL_FLOOR), dt_accel, t_end - t)
+            ratio[()] = dt / two_dx
+            # new = phi - dt/(2*dx)*(G_ahead - G), G = phi**2 - 2/x on the padded grid
+            square(cur, flux)
+            subtract(flux, two_over_x, flux)
+            subtract(g_ahead, g_here, new)
+            multiply(new, ratio, new)
+            subtract(phi, new, new)
+            # max|next| is the next step's speed; NaN and inf propagate into it.
+            speed = float(max_reduce(absolute(nxt, flux)))
+            if not isfinite(speed):
                 bad = int(np.argmax(~np.isfinite(new)))
                 raise NumericalError(
                     f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
@@ -319,7 +320,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                 w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
                 take(req[next_snap], (1.0 - w) * phi + w * new)
                 next_snap += 1
-            phi, ahead, new, new_ahead = new, new_ahead, phi, ahead
+            cur, nxt, phi, new = nxt, cur, new, phi
             t = t_new
     return snapshots
 

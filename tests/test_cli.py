@@ -584,6 +584,18 @@ class TestPde:
         profile_header, _ = _read_table(profile_line)
         assert profile_header == ["t", "abs_phi_fd", "terminal_profile"]
 
+    def test_profile_covers_every_cell(self, tmp_path, capsys):
+        # the march holds the terminal profile to round-off on the whole grid,
+        # the outflow cell next to x_min included
+        code = main(["pde", "--x-max", "20", "--n-cells", "32", "--t-end", "300",
+                     "--n-snapshots", "4", "--probe-x", "10", "--out-dir", str(tmp_path)])
+        assert code == 0
+        _, profile_line, report_line = capsys.readouterr().out.splitlines()
+        _, rows = _read_table(profile_line)
+        assert len(rows) == 32
+        assert float(rows[0][0]) == 1.0 + 0.5 * 19.0 / 32  # the first cell centre
+        assert _read_report(report_line)["profile_max_rel_err"] <= 1e-12
+
     def test_bad_t_end_exit_2(self, tmp_path, capsys):
         code = main(["pde", "--t-end", "-1", "--out-dir", str(tmp_path)])
         assert code == 2

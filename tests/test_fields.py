@@ -1,4 +1,4 @@
-"""Spatial field solvers: diffusion kernel, characteristic solution, upwind scheme.
+"""Spatial field solvers: diffusion kernel, characteristic solution, conservative march.
 
 The cross-check numbers (probe levels, grid-refinement ratios) were frozen
 from prototype runs of an independent characteristic-tracing script before
@@ -270,11 +270,16 @@ class TestUpwindScheme:
             evolve_advection_fd(setup, 44.0, [])
 
     def test_overflowing_step_is_a_numerical_error(self):
-        # source -1/x**2 ~ -1e308 on this grid: the first step overflows, and
-        # the march's own check reports it without a RuntimeWarning
-        setup = AdvectionSetup(x_min=1e-154, x_max=2e-154, n_cells=16)
-        with pytest.raises(NumericalError, match="non-finite field"):
-            evolve_advection_fd(setup, 1e-229, [1e-229])
+        # a CFL number past the record's bound of 0.9 (set behind its check)
+        # blows the field up, and the march's own check reports it without a
+        # RuntimeWarning
+        for cfl in (3.0, 20.0, 200.0):
+            setup = AdvectionSetup(x_min=1e-154, x_max=2e-154, n_cells=16)
+            object.__setattr__(setup, "cfl", cfl)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="non-finite field at t="):
+                    evolve_advection_fd(setup, 1e-229, [1e-229])
 
     @pytest.mark.parametrize("times", [[0.0, math.nan, 5.0], [math.nan], [0.0, 5.0, math.nan]])
     def test_non_finite_snapshot_times_rejected(self, times):
@@ -297,6 +302,26 @@ class TestUpwindScheme:
             assert all(s.x_grid is snaps[0].x_grid for s in snaps)
             with pytest.raises(ValueError):
                 snaps[-1].x_grid[0] = 0.0
+
+    def test_field_never_passes_the_terminal_level(self):
+        # |phi| <= sqrt(phi0**2 + 2/x) throughout.  On [100, 120] the ghost
+        # (-0.129) is deeper than the flat zero start, and the first step is
+        # long: only because the ghost counts in max|phi| does the last cell
+        # not overshoot it (to -0.335).
+        rng = np.random.default_rng(20261021)
+        setups = [AdvectionSetup(x_min=100.0, x_max=120.0, n_cells=16)]
+        for _ in range(12):
+            x_min = float(10.0 ** rng.uniform(-1.0, 2.0))
+            setups.append(AdvectionSetup(
+                x_min=x_min, x_max=x_min * float(10.0 ** rng.uniform(0.05, 1.0)),
+                n_cells=int(rng.integers(16, 129)),
+                phi0=0.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-2.0, 0.5)),
+                cfl=float(rng.uniform(0.1, 0.9))))
+        for setup in setups:
+            t_end = 3.0 * setup.x_max ** 1.5
+            terminal = euler_terminal_profile(setup, setup.cell_centers())
+            for snap in evolve_advection_fd(setup, t_end, np.geomspace(1e-3, 1.0, 25) * t_end):
+                assert np.all(-snap.phi <= terminal * (1.0 + 1e-12)), (setup, snap.t)
 
     def test_snapshot_contract(self):
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.3)
@@ -348,20 +373,15 @@ class TestUpwindScheme:
             np.testing.assert_array_equal(got_v.view(np.uint64), want_v.view(np.uint64))
 
     def test_converges_to_characteristic_solution(self):
-        # small domain run to ~100 * x_max**1.5: the late profile sits within
-        # 1% of the analytic limit and halving dx shrinks the gap by >= 1.5x
+        # small domain run to ~100 * x_max**1.5: the conservative march holds
+        # the steady state phi**2 - 2/x = 0 to round-off on the whole grid
         x_max = 20.0
         t_end = 100.0 * x_max ** 1.5
-        errors = {}
         for n in (256, 512):
             setup = AdvectionSetup(x_min=1.0, x_max=x_max, n_cells=n)
             snap = evolve_advection_fd(setup, t_end, [t_end])[0]
-            interior = slice(n // 16, -1)
-            x = snap.x_grid[interior]
-            exact = np.array([euler_terminal_profile(setup, xi) for xi in x])
-            errors[n] = np.max(np.abs(np.abs(snap.phi[interior]) - exact) / exact)
-        assert errors[256] < 0.01
-        assert errors[256] / errors[512] >= 1.5
+            exact = euler_terminal_profile(setup, snap.x_grid)
+            assert np.max(np.abs(np.abs(snap.phi) - exact) / exact) <= 1e-12
 
     def test_probe_interpolates_between_cells(self):
         setup = AdvectionSetup(x_min=1.0, x_max=20.0, n_cells=64, phi0=0.5)
@@ -376,13 +396,14 @@ class TestUpwindScheme:
 
 
 def _reference_march(setup, t_end, req):
-    """The step loop of evolve_advection_fd as it was before it wrote into
-    two swapped buffers: a fresh gradient, update and finiteness mask every
-    step.  Returns ([(t, phi), ...], steps); raises the same NumericalErrors."""
+    """The conservative step of evolve_advection_fd in fresh-array form: the
+    padded flux G = phi**2 - 2/x, the update phi - dt/(2*dx)*(G_ahead - G)
+    and a finiteness mask are new arrays every step, with no buffers.
+    Returns ([(t, phi), ...], steps); raises the same NumericalErrors."""
     tol = 1e-12 * t_end
     dx = setup.dx
     x = setup.cell_centers()
-    source = -1.0 / (x * x)
+    x_pad = np.append(x, setup.x_max + 0.5 * dx)
     dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
     dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, fields._VEL_FLOOR))
     if t_end / dt_max > fields._MAX_STEPS:
@@ -390,7 +411,7 @@ def _reference_march(setup, t_end, req):
             f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
             f"most {dt_max:.4g}, over the budget of {fields._MAX_STEPS} steps")
     padded = np.full(setup.n_cells + 1, -setup.phi0)
-    padded[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / (setup.x_max + 0.5 * dx))
+    padded[-1] = -math.sqrt(setup.phi0 ** 2 + 2.0 / x_pad[-1])
     phi = padded[:-1]
     t = 0.0
     snapshots = [(s, phi.copy()) for s in itertools.takewhile(lambda s: s <= tol, req)]
@@ -402,10 +423,11 @@ def _reference_march(setup, t_end, req):
                 raise NumericalError(
                     f"march used its budget of {fields._MAX_STEPS} steps at t={t!r} of {t_end!r}")
             n_steps += 1
-            dt = setup.cfl * dx / max(float(np.abs(phi).max()), fields._VEL_FLOOR)
+            # the ghost counts in the CFL speed
+            dt = setup.cfl * dx / max(float(np.abs(padded).max()), fields._VEL_FLOOR)
             dt = min(dt, dt_accel, t_end - t)
-            grad = (padded[1:] - phi) / dx
-            phi_new = phi + dt * (source - phi * grad)
+            G = padded ** 2 - 2.0 / x_pad
+            phi_new = phi - (dt / (2 * dx)) * (G[1:] - G[:-1])
             if not np.isfinite(phi_new).all():
                 bad = int(np.argmax(~np.isfinite(phi_new)))
                 raise NumericalError(
@@ -489,14 +511,29 @@ class TestMarchAgainstReference:
             setup, t_end, times = _random_march(rng, 2.5e4)
             assert self._assert_same(setup, t_end, times) > 1e4
 
-    @pytest.mark.parametrize("x_min, n_cells, t_end", [
-        (1e-154, 16, 1e-229), (1e-154, 300, 1e-229), (1.5e-154, 64, 1e-228),
-        (1e-154, 40, 5e-230)])
-    def test_same_overflow_message(self, x_min, n_cells, t_end):
+    _TINY_GRIDS = [(1e-154, 16, 1e-229), (1e-154, 300, 1e-229), (1.5e-154, 64, 1e-228),
+                   (1e-154, 40, 5e-230)]
+
+    @pytest.mark.parametrize("x_min, n_cells, t_end", _TINY_GRIDS)
+    def test_tiny_grids_end_at_the_terminal_level(self, x_min, n_cells, t_end):
+        # 2/x ~ 1e154 here, but the flux phi**2 - 2/x never forms 1/x**2 ~ 1e308:
+        # the march ends finite, non-positive and at the terminal profile
         setup = AdvectionSetup(x_min=x_min, x_max=2.0 * x_min, n_cells=n_cells)
-        ref = _outcome(_reference_march, setup, t_end, [t_end])
-        assert ref.startswith("non-finite field at t=")
-        assert _outcome(evolve_advection_fd, setup, t_end, [t_end]) == ref
+        assert self._assert_same(setup, t_end, [t_end]) is not None
+        phi = evolve_advection_fd(setup, t_end, [t_end])[0].phi
+        assert np.isfinite(phi).all() and (phi <= 0.0).all()
+        np.testing.assert_allclose(-phi, euler_terminal_profile(setup, setup.cell_centers()),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("x_min, n_cells, t_end", _TINY_GRIDS)
+    def test_same_overflow_message(self, x_min, n_cells, t_end):
+        # a CFL number past the record's bound of 0.9 blows the field up
+        for cfl in (3.0, 20.0, 200.0):
+            setup = AdvectionSetup(x_min=x_min, x_max=2.0 * x_min, n_cells=n_cells)
+            object.__setattr__(setup, "cfl", cfl)
+            ref = _outcome(_reference_march, setup, t_end, [t_end])
+            assert ref.startswith("non-finite field at t=")
+            assert _outcome(evolve_advection_fd, setup, t_end, [t_end]) == ref
 
     def test_same_budget_messages(self, monkeypatch):
         # up front (the advective bound at phi0) and in the march (deepening)
@@ -506,3 +543,74 @@ class TestMarchAgainstReference:
         deepening = AdvectionSetup(x_min=1.0, x_max=17.0, n_cells=16)
         assert "march used its budget" in _outcome(_reference_march, deepening, 44.0, [])
         assert self._assert_same(deepening, 44.0, [44.0]) is None
+
+
+def _fall_time(x0, x, lib=np):
+    """Time of free fall from rest at x0 down to x <= x0 under x'' = -1/x**2
+    (lib: numpy for arrays, math for floats)."""
+    u = x / x0
+    return lib.sqrt(0.5 * x0 ** 3) * (lib.sqrt(u * (1.0 - u)) + lib.acos(lib.sqrt(u)))
+
+
+def _free_fall_field(x, t, x_max):
+    """The field at t of a zero start that has met no shock: the parcel at x
+    fell from rest at x0 in [x, x_max], found by bisection (the fall time
+    rises with x0), and moves at -sqrt(2/x - 2/x0)."""
+    lo, hi = x, np.full_like(x, x_max)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        early = _fall_time(mid, x) < t
+        lo, hi = np.where(early, mid, lo), np.where(early, hi, mid)
+    return -np.sqrt(np.maximum(2.0 / x - 2.0 / (0.5 * (lo + hi)), 0.0))
+
+
+def _shock_path(x_max, times, steps_per_unit=1.5):
+    """The shock s(t) at the ascending `times` (RK4, about 900 steps to 600).
+
+    It starts at x_max, where the inflow at the terminal level -sqrt(2/s)
+    meets the field at rest, and moves at the mean of the two sides,
+    s' = (phi_ahead - sqrt(2/s))/2.  phi_ahead takes 30 halvings of the fall
+    start, a bracket below x_max*1e-9."""
+    def speed(s, t):
+        lo, hi = s, x_max
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _fall_time(mid, s, math) < t else (lo, mid)
+        ahead = math.sqrt(max(2.0 / s - 2.0 / (0.5 * (lo + hi)), 0.0))
+        return -0.5 * (ahead + math.sqrt(2.0 / s))
+
+    s, t, path = x_max, 0.0, {}
+    for t_out in times:
+        n = round((t_out - t) * steps_per_unit)
+        h = (t_out - t) / n
+        for k in range(n):
+            tk = t + k * h
+            k1 = speed(s, tk)
+            k2 = speed(s + 0.5 * h * k1, tk + 0.5 * h)
+            k3 = speed(s + 0.5 * h * k2, tk + 0.5 * h)
+            k4 = speed(s + h * k3, tk + h)
+            s += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t, path[t_out] = t_out, s
+    return path
+
+
+class TestConservativeMarch:
+    def test_l1_error_against_the_exact_flat_start_field(self):
+        # default domain [1, 200] from a zero start: ahead of the shock the
+        # field is free fall from rest, behind it the terminal profile.  A
+        # conservative march moves the shock at the right speed, so its L1
+        # error falls about 4x per 4x refinement; the non-conservative update
+        # phi - dt*phi*(phi_ahead - phi)/dx stalls near 3e-3, its shock at
+        # t = 600 about 13 units of x too far out.
+        times = [200.0, 600.0]
+        shock = _shock_path(200.0, times)
+        assert shock[600.0] == pytest.approx(165.871, abs=1e-3)
+        errors = {t: [] for t in times}
+        for n in (256, 1024, 4096):
+            for snap in evolve_advection_fd(AdvectionSetup(n_cells=n), times[-1], times):
+                x = snap.x_grid
+                exact = np.where(x < shock[snap.t], _free_fall_field(x, snap.t, 200.0),
+                                 -np.sqrt(2.0 / x))
+                errors[snap.t].append(float(np.mean(np.abs(snap.phi - exact))))
+        for t, (coarse, mid, fine) in errors.items():
+            assert coarse / mid >= 3.5 and mid / fine >= 3.5, (t, errors[t])
