@@ -21,8 +21,7 @@ from .dynsys import (CENTER, DEGENERATE, MARGINAL, SADDLE, SPECIES_1_SURVIVES,
                      find_fixed_point, linearize, stability_report)
 from .errors import (DataIOError, DomainError, GrowthDynError, LogAxisError,
                      NonConvergenceError, NumericalError, ParameterError,
-                     RankDeficiencyError, RootNotFoundError, StiffnessError,
-                     ValidationError)
+                     RankDeficiencyError, StiffnessError, ValidationError)
 from .fields import (AdvectionSetup, DiffusionParams, FieldSnapshot,
                      characteristic_energy, characteristic_particle_system,
                      diffusion_point_source, euler_characteristic_phi,

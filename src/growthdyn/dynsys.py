@@ -43,6 +43,7 @@ MARGINAL = "marginal"
 
 _DET_TOL = 1e-12     # |det| below this times s**2 is singular (s: largest |entry|)
 _DESCENT_TOL = 1e-12  # fixed-point descent stop; tol itself bounds |rhs| afterwards
+_MAX_ITER = 100      # fixed-point descent budget, in Levenberg-Marquardt iterations
 _REPEAT_TOL = 1e-9   # an eigenvalue gap below this times s counts as repeated
 
 
@@ -121,19 +122,18 @@ def _fd_jacobian(rhs, x):
     return jac
 
 
-def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
-                     max_iter: int = 100) -> FixedPoint2D:
+def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10) -> FixedPoint2D:
     """Levenberg-Marquardt search for rhs(x) = 0 near the guess.
 
     The fits' descent runs on rhs(x) in the state's own coordinates, with
     linearize's central differences as its Jacobian, until its steps stop
-    reducing |rhs|.  Its last iterate is the equilibrium if |rhs| <= tol
-    there, else NonConvergenceError carries it as ``best``.
+    reducing |rhs|, within a budget of 100 iterations.  Its last iterate is
+    the equilibrium if |rhs| <= tol there, else NonConvergenceError carries
+    it as ``best``.
     """
     if system.dimension != 2:
         raise ValidationError("fixed-point search is implemented for planar systems")
     tol = check_number("tol", tol, float, ">")
-    max_iter = check_number("max_iter", max_iter, int, ">")
 
     def residual(x):
         f = check_array("rhs output", system.rhs(x), x.shape, finite=False)
@@ -143,7 +143,7 @@ def find_fixed_point(system: AutonomousSystem, guess, tol: float = 1e-10,
     with np.errstate(all="ignore"):  # as in the integrators: inf/NaN stop the descent
         x, point, iters, _, _ = _lm_once(
             residual, lambda x, _: _fd_jacobian(system.rhs, x), x, residual(x),
-            _DESCENT_TOL, max_iter)
+            _DESCENT_TOL, _MAX_ITER)
         norm = float(np.linalg.norm(point[0])) if point is not None else math.inf
     if norm <= tol:
         return FixedPoint2D(float(x[0]), float(x[1]), norm)

@@ -45,10 +45,6 @@ class NonConvergenceError(NumericalError):
         self.best = best
 
 
-class RootNotFoundError(NumericalError):
-    """A bracketing root solve found no sign change."""
-
-
 class StiffnessError(NumericalError):
     """Adaptive step size underflowed; the problem looks stiff."""
 

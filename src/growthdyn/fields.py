@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError,
-                     RootNotFoundError, ValidationError, check_array,
-                     check_number, check_record)
+                     ValidationError, check_array, check_number, check_record)
 from .ode import _MAX_STEPS, AutonomousSystem
 
+_CFL = 0.9                # the march's Courant number (see evolve_advection_fd)
 _VEL_FLOOR = 1e-12        # guards the CFL division on a flat (zero) field
 _EXP_OVERFLOW = 700.0     # exp() argument ceiling before float64 overflow
 
@@ -56,8 +56,8 @@ class AdvectionSetup:
     c is the characteristic energy constant of the implicit exact solution
     (fixed per query); phi0 is the flat initial field magnitude.  x_min stays
     strictly positive to keep the potential's singularity off the grid.
-    x_min < x_max, n_cells >= 16, cfl <= 0.9, and phi0**2, 1/x_min**2 and
-    x_max**2 stay finite.
+    x_min < x_max, n_cells >= 16, and phi0**2, 1/x_min**2 and x_max**2 stay
+    finite.
     """
 
     c: float = 1.0
@@ -65,10 +65,9 @@ class AdvectionSetup:
     x_min: float = 1.0
     x_max: float = 200.0
     n_cells: int = 1024
-    cfl: float = 0.9
 
     def __post_init__(self):
-        check_record(self, positive=("c", "x_min", "x_max", "n_cells", "cfl"),
+        check_record(self, positive=("c", "x_min", "x_max", "n_cells"),
                      non_negative=("phi0",))
         if not math.isfinite(self.phi0 * self.phi0):
             raise ParameterError(f"phi0={self.phi0!r} is too large: phi0**2 overflows")
@@ -80,8 +79,6 @@ class AdvectionSetup:
             raise ParameterError(f"x_max={self.x_max!r} is too large: x_max**2 overflows")
         if self.n_cells < 16:
             raise ParameterError(f"n_cells must be an integer >= 16, got {self.n_cells!r}")
-        if self.cfl > 0.9:
-            raise ParameterError(f"cfl must lie in (0, 0.9], got {self.cfl!r}")
 
     @property
     def dx(self) -> float:
@@ -176,15 +173,11 @@ def euler_characteristic_phi(setup: AdvectionSetup, x: float, t: float) -> float
         return 0.0
     c = setup.c
     lo, hi = 0.0, math.sqrt(2.0 / x)
-    g_hi = _char_residual(hi, c, x, t)  # g(0) = (2/x)(exp(-c**3 t) - 1) <= 0 always
-    if g_hi < 0.0 and abs(g_hi) <= 1e-9 * (2.0 / x):
-        # Late times: the exponential term underflows and hi*hi - 2/x leaves
-        # only rounding noise, so the root coincides with the bracket end.
+    # g(0) = (2/x)(exp(-c**3 t) - 1) <= 0 always, and g(hi) is hi*hi - 2/x plus
+    # a non-negative exponential term: below 0 it is only the rounding of
+    # hi*hi - 2/x (late times, the term underflowed), and the root is hi.
+    if _char_residual(hi, c, x, t) < 0.0:
         return hi
-    if not g_hi >= 0.0:
-        raise RootNotFoundError(
-            f"no sign change on [0, sqrt(2/x)] at x={x}, t={t}: "
-            f"g(hi)={g_hi:.6e}; parameters lie outside the solution branch")
     # Halve [lo, hi] until the midpoint rounds to one end: lo and hi are then
     # adjacent floats.  Each pass about halves the width, which starts below
     # 2**1024 and cannot fall below the smallest subnormal, 2**-1074, so a
@@ -218,11 +211,14 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     The signed field starts flat at -phi0 and moves toward small x while the
     force, folded into the flux G = phi**2 - 2/x, pumps it: a step is
     new_i = phi_i - dt/(2*dx)*(G_{i+1} - G_i), with dt within both the CFL
-    bound cfl*dx/max|phi| and an acceleration bound cfl*sqrt(dx)*x_min (a
+    bound 0.9*dx/max|phi| and an acceleration bound 0.9*sqrt(dx)*x_min (a
     cell starting from rest must not overshoot its neighbour in one step).
+    The Courant number nu = 0.9 is fixed: upwind's numerical diffusion,
+    |phi|*dx*(1 - nu)/2, falls as nu rises, so a smaller nu costs accuracy
+    as well as steps.
 
     The field never turns positive: with c_i = -dt*(phi_i + phi_{i+1})/(2*dx)
-    in [0, cfl] (the ghost counts in max|phi|), a step is (1 - c_i)*phi_i +
+    in [0, 0.9] (the ghost counts in max|phi|), a step is (1 - c_i)*phi_i +
     c_i*phi_{i+1} + (dt/dx)*(1/x_{i+1} - 1/x_i), a convex combination of
     non-positive values plus a negative term.  So the upwind neighbour is
     always the right (large-x) one, and the only boundary the march reads is
@@ -259,9 +255,9 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     x.flags.writeable = False
     x_ghost = setup.x_max + 0.5 * dx
     two_over_x = 2.0 / np.append(x, x_ghost)  # over the padded grid
-    dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
+    dt_accel = _CFL * math.sqrt(dx) * setup.x_min
     # max|phi| >= phi0 throughout (the field deepens), so no step exceeds dt_max.
-    dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, _VEL_FLOOR))
+    dt_max = min(dt_accel, _CFL * dx / max(setup.phi0, _VEL_FLOOR))
     if t_end / dt_max > _MAX_STEPS:
         raise NumericalError(
             f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
@@ -276,7 +272,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
     g_ahead, g_here = flux[1:], flux[:-1]
     square, subtract, multiply, absolute = np.square, np.subtract, np.multiply, np.absolute
     max_reduce, isfinite = np.maximum.reduce, math.isfinite
-    cfl_dx, two_dx = setup.cfl * dx, 2.0 * dx
+    cfl_dx, two_dx = _CFL * dx, 2.0 * dx
     speed = float(max_reduce(absolute(cur)))  # the flat start or the ghost
     t = 0.0
     snapshots = []
@@ -313,7 +309,7 @@ def evolve_advection_fd(setup: AdvectionSetup, t_end: float,
                 bad = int(np.argmax(~np.isfinite(new)))
                 raise NumericalError(
                     f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
-                    "reduce cfl or refine the grid")
+                    "refine the grid")
             t_new = t + dt
             # The last step (t_new >= t_end) takes the rest: past t_new, w = 1.
             while next_snap < len(req) and req[next_snap] <= t_new + tol:

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from growthdyn import fields
 from growthdyn import (AdvectionSetup, characteristic_particle_system,
                        evolve_advection_fd, integrate_fixed)
 
@@ -40,21 +41,22 @@ def test_integrate_fixed_particle_bits(y0, t0, t1, dt, expected):
     assert _digest([traj.times, traj.states]) == expected
 
 
-@pytest.mark.parametrize("setup, t_end, snap_times, expected", [
+@pytest.mark.parametrize("setup, cfl, t_end, snap_times, expected", [
     # zero start: a flat field of 0 that the force pumps negative
-    (AdvectionSetup(c=1.0, phi0=0.0, x_max=50.0, n_cells=64), 200.0,
+    (AdvectionSetup(c=1.0, phi0=0.0, x_max=50.0, n_cells=64), 0.9, 200.0,
      [0.0, 0.5, 3.0, 10.0, 47.25, 120.0, 200.0],
      "cf9272eb4b9883d677593c147b14db0eaf815bc679fc31daabef6b811c31ee70"),
-    # snapshots at and just after t = 0, a repeated time, a half CFL number
-    (AdvectionSetup(c=0.7, phi0=0.3, x_min=0.5, x_max=40.0, n_cells=128, cfl=0.45),
+    # snapshots at and just after t = 0, a repeated time, half the Courant number
+    (AdvectionSetup(c=0.7, phi0=0.3, x_min=0.5, x_max=40.0, n_cells=128), 0.45,
      60.0, [0.0, 1e-13, 2.5, 2.5, 30.0, 60.0],
      "7a136ef610b6c6ad435263722059dcc45117e09784e2c265792fb556d4a2eaeb"),
     # no t = 0 snapshot; the last lies past t_end within round-off
-    (AdvectionSetup(c=1.8, phi0=1.2, x_min=2.0, x_max=120.0, n_cells=200), 300.0,
+    (AdvectionSetup(c=1.8, phi0=1.2, x_min=2.0, x_max=120.0, n_cells=200), 0.9, 300.0,
      [5.0, 77.7, 150.0, 300.0 * (1.0 + 5e-13)],
      "b7e755eea42682e95a53f3b7157d48fcebc7106927f87e805d64769c299c7798"),
 ])
-def test_evolve_advection_fd_bits(setup, t_end, snap_times, expected):
+def test_evolve_advection_fd_bits(monkeypatch, setup, cfl, t_end, snap_times, expected):
+    monkeypatch.setattr(fields, "_CFL", cfl)
     snapshots = evolve_advection_fd(setup, t_end, snap_times)
     assert len(snapshots) == len(snap_times)
     arrays = []

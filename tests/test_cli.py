@@ -68,7 +68,7 @@ class TestDriverContract:
         ("pde", ["--x-max", "20", "--n-cells", "32", "--t-end", "5",
                  "--n-snapshots", "4", "--probe-x", "10"],
          ["_probe.csv", "_profile.csv"],
-         {"setup": {"c", "phi0", "x_min", "x_max", "n_cells", "cfl"},
+         {"setup": {"c", "phi0", "x_min", "x_max", "n_cells"},
           "t_end": None, "probes": None, "profile_max_rel_err": None,
           "probe_file": None, "profile_file": None}),
         ("classify-early", ["{data}"], [],
@@ -596,6 +596,19 @@ class TestPde:
         assert float(rows[0][0]) == 1.0 + 0.5 * 19.0 / 32  # the first cell centre
         assert _read_report(report_line)["profile_max_rel_err"] <= 1e-12
 
+    @pytest.mark.parametrize("config", [False, True])
+    def test_courant_number_is_no_flag(self, tmp_path, capsys, config):
+        # the march's Courant number is fixed at 0.9, the fastest and most
+        # accurate value, so --cfl (and a config line cfl = ...) is no option
+        conf = tmp_path / "run.conf"
+        conf.write_text("cfl = 0.5\n")
+        argv = ["--config", str(conf)] if config else ["--cfl", "0.5"]
+        with pytest.raises(SystemExit) as info:
+            main(["pde", *argv, "--out-dir", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "error: unrecognized arguments: --cfl 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_t_end_exit_2(self, tmp_path, capsys):
         code = main(["pde", "--t-end", "-1", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -913,8 +926,8 @@ _FLAG_TABLE = {
     "pde": {
         "--c": (float, "", 1, 1.0), "--phi0": (float, "", 1, 0.0),
         "--x-min": (float, "", 1, 1.0), "--x-max": (float, "", 1, 200.0),
-        "--n-cells": (int, "", 1, 1024), "--cfl": (float, "", 1, 0.9),
-        "--t-end": (float, "", 1, 2500.0), "--probe-x": (float, "", "1+", [50.0]),
+        "--n-cells": (int, "", 1, 1024), "--t-end": (float, "", 1, 2500.0),
+        "--probe-x": (float, "", "1+", [50.0]),
         "--n-snapshots": (int, ">=", 1, 200),
     },
     "classify-early": {
@@ -1024,7 +1037,7 @@ class TestFlagChecks:
                         else repr(default)
                     assert action.type(text) == default, (name, action.dest)
                 typed += 1
-        assert typed == 41  # 19 scalar (the input flags twice), 10 list, 12 record flags
+        assert typed == 40  # 19 scalar (the input flags twice), 10 list, 11 record flags
 
     def test_flag_table_is_pinned(self):
         rule = cli._numbers().__code__

@@ -287,9 +287,10 @@ class TestFixedPointDescent:
         assert best[0] == pytest.approx(0.3129084094792333, abs=1e-6)
         assert math.hypot(best[0] - 1.0, best[0] ** 2 + 1.0) > 1.0
 
-    def test_max_iter_bounds_the_descent(self):
-        with pytest.raises(NonConvergenceError):
-            find_fixed_point(_demo_pair(), (0.3, 3.0), max_iter=1)
+    def test_max_iter_bounds_the_descent(self, monkeypatch):
+        monkeypatch.setattr(dynsys, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergenceError, match="after 1 iterations"):
+            find_fixed_point(_demo_pair(), (0.3, 3.0))
 
     def test_exhausted_damping_is_not_converged(self):
         # every trial point is unevaluable, so the damping climbs past its
@@ -306,6 +307,62 @@ class TestFixedPointDescent:
         np.testing.assert_array_equal(theta, start)
         np.testing.assert_array_equal(point[0], [-2.0, -1.0])
         np.testing.assert_array_equal(jac, np.eye(2))
+
+
+def _solve_calls(monkeypatch, fail_first):
+    """Record each np.linalg.solve call's (matrix, right-hand side); with
+    fail_first the first call raises LinAlgError, as on a singular matrix."""
+    calls, solve = [], np.linalg.solve
+
+    def recording(a, b):
+        calls.append((a.copy(), b.copy()))
+        if fail_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return calls
+
+
+class TestSingularSolve:
+    """A damped system that np.linalg.solve refuses raises the damping tenfold
+    and solves again at the same iterate; the descent still lands on its root."""
+
+    def _runs(self, monkeypatch, run):
+        results = []
+        for fail_first in (False, True):
+            calls = _solve_calls(monkeypatch, fail_first)
+            results.append((run(), calls))
+            monkeypatch.undo()
+        (plain, plain_calls), (retried, calls) = results
+        # the retry solves the refused call's system with lam 10x larger:
+        # the same gradient and off-diagonal, the diagonal (1 + 10*lam)*jtj
+        # where it was (1 + lam)*jtj, and the refused one is the plain run's first
+        lam = fitting._LAMBDA_INIT
+        (refused, rhs), (again, rhs_again) = calls[:2]
+        np.testing.assert_array_equal(refused, plain_calls[0][0])
+        np.testing.assert_array_equal(rhs_again, rhs)
+        off = ~np.eye(rhs.size, dtype=bool)
+        np.testing.assert_array_equal(again[off], refused[off])
+        np.testing.assert_allclose(np.diag(again),
+                                   np.diag(refused) * (1.0 + 10.0 * lam) / (1.0 + lam),
+                                   rtol=1e-12)
+        return plain, retried
+
+    def test_fit_retries_with_more_damping(self, monkeypatch):
+        rng = np.random.default_rng(20261022)
+        t = np.linspace(0.0, 12.0, 40)
+        y = 10.0 / (1.0 + 99.0 * np.exp(-t)) * (1.0 + 0.01 * rng.standard_normal(t.size))
+        problem = FitProblem(TimeSeries(t, y, kind=KIND_GENERIC), LOGISTIC_FAMILY,
+                             (0.7, 0.2, 0.2), alpha=1)
+        plain, retried = self._runs(monkeypatch, lambda: fit(problem))
+        assert plain.converged and retried.converged
+        np.testing.assert_allclose(retried.params, plain.params, rtol=1e-9)
+
+    def test_fixed_point_retries_with_more_damping(self, monkeypatch):
+        plain, retried = self._runs(monkeypatch,
+                                    lambda: find_fixed_point(_demo_pair(), (0.7, 1.4)))
+        np.testing.assert_allclose(retried.as_array(), plain.as_array(), rtol=1e-9)
 
 
 # ---- the record-based descent as it stood before the residual evaluated the

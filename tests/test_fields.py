@@ -143,6 +143,20 @@ class TestCharacteristicSolution:
             assert isinstance(root, float) and 0.0 <= root <= math.sqrt(2.0 / x), (t, x)
         assert euler_characteristic_phi(setup, 50.0, math.inf) == math.sqrt(2.0 / 50.0)
 
+    def test_residual_at_the_bracket_end_is_at_worst_rounding(self):
+        # g(sqrt(2/x)) is hi*hi - 2/x plus a non-negative term, so it is never
+        # NaN and never below the rounding of hi*hi - 2/x: a negative one
+        # means the root is the bracket end, and no sign change goes missing
+        rng = np.random.default_rng(20261022)
+        n = 100_000
+        cs, xs = 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+        ts = np.where(rng.random(n) < 0.1, math.inf, 10.0 ** rng.uniform(-300.0, 300.0, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c, x, t in zip(cs.tolist(), xs.tolist(), ts.tolist()):
+                g = fields._char_residual(math.sqrt(2.0 / x), c, x, t)
+                assert g >= -1e-15 * (2.0 / x), (c, x, t, g)
+
     def test_both_exponent_terms_past_float64_give_the_terminal_root(self):
         # c*phi*x and c**3 t both overflow here, but c**2 t >> phi*x, so the
         # exponential term vanishes and the root is sqrt(2/x)
@@ -220,7 +234,7 @@ class TestAdvectionSetup:
 
     @pytest.mark.parametrize("kwargs", [
         {"x_min": 0.0}, {"x_min": -1.0}, {"x_max": 0.5},
-        {"n_cells": 8}, {"cfl": 0.0}, {"cfl": 1.2},
+        {"n_cells": 8},
     ])
     def test_bad_setup_rejected(self, kwargs):
         with pytest.raises((ParameterError, ValidationError)):
@@ -239,7 +253,7 @@ class TestAdvectionSetup:
 
 class TestUpwindScheme:
     def test_step_budget_refused_before_marching(self):
-        # every step is at most cfl*sqrt(dx)*x_min ~ 3.2, so 1e9 needs ~3e8 steps
+        # every step is at most 0.9*sqrt(dx)*x_min ~ 3.2, so 1e9 needs ~3e8 steps
         start = time.perf_counter()
         with pytest.raises(NumericalError, match="budget"):
             evolve_advection_fd(AdvectionSetup(n_cells=16), 1e9, [])
@@ -269,13 +283,12 @@ class TestUpwindScheme:
         with pytest.raises(NumericalError, match="march used its budget of 50 steps"):
             evolve_advection_fd(setup, 44.0, [])
 
-    def test_overflowing_step_is_a_numerical_error(self):
-        # a CFL number past the record's bound of 0.9 (set behind its check)
-        # blows the field up, and the march's own check reports it without a
-        # RuntimeWarning
+    def test_overflowing_step_is_a_numerical_error(self, monkeypatch):
+        # a Courant number past the march's 0.9 blows the field up, and the
+        # march's own check reports it without a RuntimeWarning
+        setup = AdvectionSetup(x_min=1e-154, x_max=2e-154, n_cells=16)
         for cfl in (3.0, 20.0, 200.0):
-            setup = AdvectionSetup(x_min=1e-154, x_max=2e-154, n_cells=16)
-            object.__setattr__(setup, "cfl", cfl)
+            monkeypatch.setattr(fields, "_CFL", cfl)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalError, match="non-finite field at t="):
@@ -287,15 +300,15 @@ class TestUpwindScheme:
         with pytest.raises(ValidationError, match="finite"):
             evolve_advection_fd(setup, 10.0, times)
 
-    def test_field_stays_non_positive_on_one_shared_grid(self):
+    def test_field_stays_non_positive_on_one_shared_grid(self, monkeypatch):
         # each step is a convex combination of non-positive values plus a
         # negative source, so the march never needs a left-hand upwind side
         rng = np.random.default_rng(20261018)
         for phi0 in (0.0, *rng.uniform(0.05, 2.0, 5)):
             setup = AdvectionSetup(x_min=float(rng.uniform(0.5, 2.0)),
                                    x_max=float(rng.uniform(15.0, 60.0)),
-                                   n_cells=int(rng.integers(16, 129)),
-                                   phi0=float(phi0), cfl=float(rng.uniform(0.1, 0.9)))
+                                   n_cells=int(rng.integers(16, 129)), phi0=float(phi0))
+            monkeypatch.setattr(fields, "_CFL", float(rng.uniform(0.1, 0.9)))
             t_end = float(rng.uniform(5.0, 60.0))
             snaps = evolve_advection_fd(setup, t_end, np.linspace(0.0, t_end, 9))
             assert all(np.all(s.phi <= 0.0) for s in snaps)
@@ -303,21 +316,22 @@ class TestUpwindScheme:
             with pytest.raises(ValueError):
                 snaps[-1].x_grid[0] = 0.0
 
-    def test_field_never_passes_the_terminal_level(self):
+    def test_field_never_passes_the_terminal_level(self, monkeypatch):
         # |phi| <= sqrt(phi0**2 + 2/x) throughout.  On [100, 120] the ghost
         # (-0.129) is deeper than the flat zero start, and the first step is
         # long: only because the ghost counts in max|phi| does the last cell
         # not overshoot it (to -0.335).
         rng = np.random.default_rng(20261021)
-        setups = [AdvectionSetup(x_min=100.0, x_max=120.0, n_cells=16)]
+        setups = [(AdvectionSetup(x_min=100.0, x_max=120.0, n_cells=16), fields._CFL)]
         for _ in range(12):
             x_min = float(10.0 ** rng.uniform(-1.0, 2.0))
-            setups.append(AdvectionSetup(
+            setups.append((AdvectionSetup(
                 x_min=x_min, x_max=x_min * float(10.0 ** rng.uniform(0.05, 1.0)),
                 n_cells=int(rng.integers(16, 129)),
-                phi0=0.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-2.0, 0.5)),
-                cfl=float(rng.uniform(0.1, 0.9))))
-        for setup in setups:
+                phi0=0.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-2.0, 0.5))),
+                float(rng.uniform(0.1, 0.9))))
+        for setup, cfl in setups:
+            monkeypatch.setattr(fields, "_CFL", cfl)
             t_end = 3.0 * setup.x_max ** 1.5
             terminal = euler_terminal_profile(setup, setup.cell_centers())
             for snap in evolve_advection_fd(setup, t_end, np.geomspace(1e-3, 1.0, 25) * t_end):
@@ -404,8 +418,8 @@ def _reference_march(setup, t_end, req):
     dx = setup.dx
     x = setup.cell_centers()
     x_pad = np.append(x, setup.x_max + 0.5 * dx)
-    dt_accel = setup.cfl * math.sqrt(dx) * setup.x_min
-    dt_max = min(dt_accel, setup.cfl * dx / max(setup.phi0, fields._VEL_FLOOR))
+    dt_accel = fields._CFL * math.sqrt(dx) * setup.x_min
+    dt_max = min(dt_accel, fields._CFL * dx / max(setup.phi0, fields._VEL_FLOOR))
     if t_end / dt_max > fields._MAX_STEPS:
         raise NumericalError(
             f"t_end={t_end!r} needs at least {t_end / dt_max:.4g} steps of at "
@@ -424,7 +438,7 @@ def _reference_march(setup, t_end, req):
                     f"march used its budget of {fields._MAX_STEPS} steps at t={t!r} of {t_end!r}")
             n_steps += 1
             # the ghost counts in the CFL speed
-            dt = setup.cfl * dx / max(float(np.abs(padded).max()), fields._VEL_FLOOR)
+            dt = fields._CFL * dx / max(float(np.abs(padded).max()), fields._VEL_FLOOR)
             dt = min(dt, dt_accel, t_end - t)
             G = padded ** 2 - 2.0 / x_pad
             phi_new = phi - (dt / (2 * dx)) * (G[1:] - G[:-1])
@@ -432,7 +446,7 @@ def _reference_march(setup, t_end, req):
                 bad = int(np.argmax(~np.isfinite(phi_new)))
                 raise NumericalError(
                     f"non-finite field at t={t + dt:.6g}, x={x[bad]:.6g}; "
-                    "reduce cfl or refine the grid")
+                    "refine the grid")
             t_new = t + dt
             while next_snap < len(req) and req[next_snap] <= t_new + tol:
                 w = min(max((req[next_snap] - t) / (t_new - t), 0.0), 1.0)
@@ -450,15 +464,17 @@ def _outcome(march, *args):
         return str(exc)
 
 
-def _random_march(rng, steps):
-    """A seeded setup, a t_end of about `steps` steps, and a snapshot list."""
+def _random_march(rng, steps, monkeypatch):
+    """A seeded setup, a t_end of about `steps` steps, and a snapshot list;
+    sets a seeded Courant number fields._CFL through monkeypatch."""
     x_min = float(10.0 ** rng.uniform(-3.0, 3.0))
     setup = AdvectionSetup(x_min=x_min, x_max=x_min * float(10.0 ** rng.uniform(0.2, 3.0)),
                            n_cells=int(rng.integers(16, 301)),
-                           phi0=0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-3, 1)),
-                           cfl=float(rng.uniform(0.05, 0.9)))
+                           phi0=0.0 if rng.random() < 0.4 else float(10.0 ** rng.uniform(-3, 1)))
+    cfl = float(rng.uniform(0.05, 0.9))
+    monkeypatch.setattr(fields, "_CFL", cfl)
     speed = math.sqrt(setup.phi0 ** 2 + 2.0 / setup.x_min)  # the deepest terminal level
-    dt = min(setup.cfl * math.sqrt(setup.dx) * setup.x_min, setup.cfl * setup.dx / speed)
+    dt = min(cfl * math.sqrt(setup.dx) * setup.x_min, cfl * setup.dx / speed)
     t_end = steps * dt
     shape = rng.integers(5)
     if shape == 0:
@@ -497,18 +513,18 @@ class TestMarchAgainstReference:
         rng = np.random.default_rng(20261020)
         for case in range(240):
             steps = float(10.0 ** rng.uniform(0.0, 3.3))
-            setup, t_end, times = _random_march(rng, steps)
+            setup, t_end, times = _random_march(rng, steps, monkeypatch)
             n_steps = self._assert_same(setup, t_end, times)
             assert n_steps is not None, (case, setup)
             if case % 8 == 0:  # the same step count: one step short of it runs out
                 self._assert_same(setup, t_end, times, monkeypatch, n_steps - 1)
                 assert self._assert_same(setup, t_end, times, monkeypatch, n_steps) == n_steps
-                monkeypatch.undo()
+            monkeypatch.undo()
 
-    def test_long_marches_bit_for_bit(self):
+    def test_long_marches_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(101)
         for _ in range(4):
-            setup, t_end, times = _random_march(rng, 2.5e4)
+            setup, t_end, times = _random_march(rng, 2.5e4, monkeypatch)
             assert self._assert_same(setup, t_end, times) > 1e4
 
     _TINY_GRIDS = [(1e-154, 16, 1e-229), (1e-154, 300, 1e-229), (1.5e-154, 64, 1e-228),
@@ -526,11 +542,11 @@ class TestMarchAgainstReference:
                                    rtol=1e-13)
 
     @pytest.mark.parametrize("x_min, n_cells, t_end", _TINY_GRIDS)
-    def test_same_overflow_message(self, x_min, n_cells, t_end):
-        # a CFL number past the record's bound of 0.9 blows the field up
+    def test_same_overflow_message(self, monkeypatch, x_min, n_cells, t_end):
+        # a Courant number past the march's 0.9 blows the field up
+        setup = AdvectionSetup(x_min=x_min, x_max=2.0 * x_min, n_cells=n_cells)
         for cfl in (3.0, 20.0, 200.0):
-            setup = AdvectionSetup(x_min=x_min, x_max=2.0 * x_min, n_cells=n_cells)
-            object.__setattr__(setup, "cfl", cfl)
+            monkeypatch.setattr(fields, "_CFL", cfl)
             ref = _outcome(_reference_march, setup, t_end, [t_end])
             assert ref.startswith("non-finite field at t=")
             assert _outcome(evolve_advection_fd, setup, t_end, [t_end]) == ref

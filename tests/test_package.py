@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "LOSS_LINEAR", "LOSS_LOG", "LogAxisError", "MARGINAL",
     "NonConvergenceError", "NumericalError", "OnsetEstimate", "POWER_LAW",
     "ParameterError", "PowerLawParams", "RankDeficiencyError",
-    "RootNotFoundError", "SADDLE", "SATURATING_LINEAR", "SPECIES_1_SURVIVES",
+    "SADDLE", "SATURATING_LINEAR", "SPECIES_1_SURVIVES",
     "SPECIES_2_SURVIVES", "STABLE_FOCUS", "STABLE_NODE",
     "SaturatingLinearParams", "StabilityReport", "StiffnessError", "TimeSeries",
     "Trajectory", "UNSTABLE_FOCUS", "UNSTABLE_NODE", "ValidationError",
@@ -45,7 +45,7 @@ PUBLIC_NAMES = [
 
 # parameter names of every public function, field names of every public record
 PUBLIC_PARAMETERS = {
-    "AdvectionSetup": ("c", "phi0", "x_min", "x_max", "n_cells", "cfl"),
+    "AdvectionSetup": ("c", "phi0", "x_min", "x_max", "n_cells"),
     "AutonomousSystem": ("dimension", "rhs"),
     "ClassifierVerdict": ("verdict", "estimate", "r2_exponential", "r2_power_law",
                           "n_points"),
@@ -83,7 +83,7 @@ PUBLIC_PARAMETERS = {
     "eval_saturating_linear": ("params", "t"),
     "evolve_advection_fd": ("setup", "t_end", "snapshot_times"),
     "exclusion_verdict": ("params",),
-    "find_fixed_point": ("system", "guess", "tol", "max_iter"),
+    "find_fixed_point": ("system", "guess", "tol"),
     "fit": ("problem", "tol", "max_iter"),
     "integrate_adaptive": ("system", "y0", "t0", "t1", "rel_tol", "abs_tol"),
     "integrate_fixed": ("system", "y0", "t0", "t1", "dt"),
@@ -194,6 +194,25 @@ def test_every_public_function_has_a_caller_or_a_reason():
     assert sorted(functions - named) == sorted(UNCALLED_PUBLIC)
 
 
+def test_every_public_error_is_raised_or_a_base_of_one_that_is():
+    # an error class that no raise in the package names, and that no raised
+    # class derives from, is surface no input can reach
+    src = pathlib.Path(growthdyn.__file__).parent
+    raised = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= _names(exc)
+    errors = {name: getattr(growthdyn, name) for name in growthdyn.__all__
+              if isinstance(getattr(growthdyn, name), type)
+              and issubclass(getattr(growthdyn, name), BaseException)}
+    assert len(errors) >= 10
+    unreached = [name for name, cls in errors.items()
+                 if not any(issubclass(errors[r], cls) for r in raised & errors.keys())]
+    assert unreached == []
+
+
 # A valid build of every public record that takes numbers as input.
 RECORDS = {
     "PowerLawParams": {"a": 2.0, "beta": 0.5},
@@ -201,7 +220,7 @@ RECORDS = {
     "GeneralizedLogisticParams": {"a": 5.0, "b": 1.0, "alpha": 1, "phi0": 0.5},
     "DiffusionParams": {"delta": 0.5},
     "AdvectionSetup": {"c": 1.5, "phi0": 0.5, "x_min": 1.0, "x_max": 200.0,
-                       "n_cells": 64, "cfl": 0.5},
+                       "n_cells": 64},
     "CompetitionParams": {"a1": 1.0, "a2": 1.5, "d1": 1.0, "d2": 1.0, "b": 1.0, "c": 2.0},
     "FitProblem": {"series": growthdyn.TimeSeries(np.linspace(0.0, 1.0, 8),
                                                   np.linspace(1.0, 2.0, 8)),

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from growthdyn import fields
 from growthdyn import (LOGISTIC_FAMILY, LOSS_LINEAR, LOSS_LOG, POWER_LAW,
                        SATURATING_LINEAR, AdvectionSetup, CompetitionParams,
                        FitProblem, GeneralizedLogisticParams, TimeSeries, classify,
@@ -35,29 +36,36 @@ def _scaled_setup(setup, k):
     # x -> 4**k x, phi -> phi / 2**k; c is an energy-like constant, phi-scaled
     return AdvectionSetup(c=setup.c / 2.0 ** k, phi0=setup.phi0 / 2.0 ** k,
                           x_min=setup.x_min * 4.0 ** k, x_max=setup.x_max * 4.0 ** k,
-                          n_cells=setup.n_cells, cfl=setup.cfl)
+                          n_cells=setup.n_cells)
 
 
+# (setup, Courant number, t_end, snapshot times)
 MARCHES = [
-    (AdvectionSetup(phi0=0.0, x_max=40.0, n_cells=64), 20.0,
+    (AdvectionSetup(phi0=0.0, x_max=40.0, n_cells=64), 0.9, 20.0,
      [0.0, 0.01, 0.3, 2.5, 5.0, 12.5, 20.0]),
-    (AdvectionSetup(phi0=0.3, x_min=0.5, x_max=30.0, n_cells=128, cfl=0.45), 12.0,
+    (AdvectionSetup(phi0=0.3, x_min=0.5, x_max=30.0, n_cells=128), 0.45, 12.0,
      [0.0, 0.7, 5.0, 5.0, 12.0]),
-    (AdvectionSetup(phi0=1.5, x_min=2.0, x_max=60.0, n_cells=256), 8.0,
+    (AdvectionSetup(phi0=1.5, x_min=2.0, x_max=60.0, n_cells=256), 0.9, 8.0,
      [0.05, 1.0, 5.0, 8.0]),
 ]
 
 
+def _march(setup, cfl, t_end, times):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "_CFL", cfl)
+        return evolve_advection_fd(setup, t_end, times)
+
+
 @pytest.fixture(scope="module")
 def march_refs():
-    return [evolve_advection_fd(setup, t_end, times) for setup, t_end, times in MARCHES]
+    return [_march(*case) for case in MARCHES]
 
 
 @pytest.mark.parametrize("k", range(-17, 9))
 def test_march_is_covariant(march_refs, k):
-    for (setup, t_end, times), ref in zip(MARCHES, march_refs):
-        out = evolve_advection_fd(_scaled_setup(setup, k), t_end * 8.0 ** k,
-                                  [s * 8.0 ** k for s in times])
+    for (setup, cfl, t_end, times), ref in zip(MARCHES, march_refs):
+        out = _march(_scaled_setup(setup, k), cfl, t_end * 8.0 ** k,
+                     [s * 8.0 ** k for s in times])
         assert len(out) == len(ref)
         for snap, r in zip(out, ref):
             assert snap.t == r.t * 8.0 ** k
